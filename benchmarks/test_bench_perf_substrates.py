@@ -8,11 +8,12 @@ workloads push queues into the thousands.
 """
 
 import numpy as np
+import pytest
 
 from repro.cluster.cluster import Cluster
 from repro.core.config import ExperimentConfig
 from repro.core.experiment import run_single
-from repro.sched import EASYScheduler
+from repro.sched import CBFScheduler, EASYScheduler
 from repro.sched.job import Request
 from repro.sched.profile import Profile
 from repro.sim.engine import Simulator
@@ -76,6 +77,44 @@ def test_perf_easy_overloaded_queue(benchmark, scale):
         return sched.queue_length
 
     assert benchmark(run) == 4000
+
+
+@pytest.mark.parametrize("depth", [10, 1000])
+def test_perf_cbf_backfill_pass(benchmark, scale, depth):
+    """CBF scheduling passes over a queue of ``depth`` reservations.
+
+    Sixteen running holds and the queue finish at 5-100% of their
+    requested time, so each completion returns capacity early and its
+    pass scans the whole queue for early starts, most of which fail —
+    the Figure 5 regime, where queues reach the thousands.  Only the
+    first 600 simulated seconds of passes are timed; building the queue
+    is set-up.
+    """
+
+    def setup():
+        sim = Simulator()
+        sched = CBFScheduler(sim, Cluster(0, 128))
+        rng = np.random.default_rng(depth)
+
+        def request(nodes, requested):
+            runtime = requested * float(rng.uniform(0.05, 1.0))
+            return Request(nodes=nodes, runtime=runtime,
+                           requested_time=requested)
+
+        for k in range(16):
+            sched.submit(request(8, 100.0 * (k + 1)))
+        for _ in range(depth):
+            sched.submit(request(int(rng.integers(1, 33)),
+                                 float(rng.uniform(50.0, 3000.0))))
+        sim.run(until=0.0)
+        return (sim, sched), {}
+
+    def run(sim, sched):
+        sim.run(until=600.0)
+        return sched.stats.backfilled
+
+    backfilled = benchmark.pedantic(run, setup=setup, rounds=10)
+    assert backfilled > 0
 
 
 def test_perf_lublin_sampling(benchmark, scale):

@@ -73,6 +73,13 @@ def _cached_streams(
     to be ~10%% of every simulation.  Safe to share because
     :class:`~repro.workload.stream.StreamJob` is frozen and consumers
     only read the lists.
+
+    The memo outlives a grid on purpose: the key holds no algorithm, so
+    a process that runs several grids over one workload (``tab1`` runs
+    EASY, CBF and FCFS grids in turn) generates each stream once.  The
+    memory it holds is bounded by ``maxsize``, and
+    :class:`~repro.workload.stream.StreamJob` uses slots to keep each
+    entry small.
     """
     return tuple(
         generate_platform_streams(

@@ -19,7 +19,9 @@ bookkeeping is incremental and local:
 * **early finish** — the unused tail of the running hold is returned;
 * **backfill** — after capacity returns (cancel/early finish), pending
   requests are scanned in submit order and started immediately when the
-  profile proves no reservation would be delayed.
+  profile proves no reservation would be delayed; one batch
+  :meth:`~repro.sched.profile.Profile.backfill_mask` query checks every
+  candidate at once and is repeated only after each early start.
 
 Unlike textbook CBF, existing reservations are *not* recomputed
 ("compressed") when capacity frees up early — freed capacity is instead
@@ -149,33 +151,37 @@ class CBFScheduler(Scheduler):
                 self._restore_overdue(req)
 
         # 2. Backfill: submit-order scan over pending requests, starting
-        #    any that provably delay no reservation.  The candidate set
-        #    is prefiltered in one vectorised expression against the
-        #    *initial* free count; since every early start only shrinks
-        #    free_now (reservations sit strictly in the future, so
-        #    reentrant sibling cancellations cannot grow it), the filter
-        #    is a superset of the old per-request scan and the
-        #    per-candidate rechecks below keep the semantics identical.
+        #    any that provably delay no reservation.  Step 1 left every
+        #    pending reservation strictly after ``now``, which is what
+        #    lets one ``backfill_mask`` query check all candidates at
+        #    once (see its docstring).  Only an early start changes the
+        #    profile (its reentrant sibling cancellations included), so
+        #    the mask is recomputed after each start, over the
+        #    candidates that follow it and are still pending.
         free_now = self._profile.free_at(now)
         if free_now > 0 and self._pending_count > 0:
-            n = len(self.queue)
-            candidates = np.flatnonzero(
+            queue = self.queue
+            n = len(queue)
+            cand = np.flatnonzero(
                 self._q_pending[:n] & (self._q_nodes[:n] <= free_now)
             )
-            for i in candidates:
+            reserved = np.array(
+                [queue[i].reserved_start for i in cand], dtype=np.float64
+            )
+            while cand.size:
+                fits = self._profile.backfill_mask(
+                    now, self._q_reqtime[cand], self._q_nodes[cand], reserved
+                )
+                hit = int(np.argmax(fits))
+                if not fits[hit]:
+                    break
+                self._start_early(queue[cand[hit]])
+                free_now = self._profile.free_at(now)
                 if free_now <= 0:
                     break
-                req = self.queue[i]
-                if not self._q_pending[i] or req.nodes > free_now:
-                    continue
-                rs = req.reserved_start
-                assert rs is not None
-                bonus = (rs, rs + req.requested_time, req.nodes)
-                if self._profile.can_place(
-                    now, req.requested_time, req.nodes, bonus=bonus
-                ):
-                    self._start_early(req)
-                    free_now = self._profile.free_at(now)
+                cand, reserved = cand[hit + 1:], reserved[hit + 1:]
+                keep = self._q_pending[cand]
+                cand, reserved = cand[keep], reserved[keep]
 
         self._arm_timer()
 

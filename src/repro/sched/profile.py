@@ -11,6 +11,9 @@ the operations conservative backfilling needs:
   are continuously free for ``duration`` seconds;
 * :meth:`Profile.can_place` — feasibility check for a specific start,
   optionally ignoring the request's own stale reservation;
+* :meth:`Profile.backfill_mask` — the same check for many pending
+  requests at once, each starting *now* and ignoring its own
+  reservation (CBF's backfill scan);
 * :meth:`Profile.trim` — garbage-collect segments that fell into the
   past (the profile is long-lived in the incremental CBF).
 
@@ -22,7 +25,10 @@ adjustment fast path are single array expressions, and ``find_start``
 evaluates every candidate segment in one shot instead of walking the
 step function — under the paper's overload the profile grows to
 hundreds of segments and the former per-segment Python loops were the
-CBF hot spot.  The original list-backed implementation survives as
+CBF hot spot.  ``backfill_mask`` goes one step further and answers the
+whole backfill scan with one running minimum and one ``searchsorted``,
+instead of one ``can_place`` call per candidate.  The original
+list-backed implementation survives as
 :class:`repro.sched.profile_ref.ReferenceProfile`, and the property
 suite drives both through identical interleavings to prove exact
 agreement.
@@ -258,6 +264,45 @@ class Profile:
             & (free[idx] + b_nodes >= nodes)
         )
         return bool(ok.all())
+
+    def backfill_mask(
+        self,
+        now: float,
+        durations: np.ndarray,
+        nodes: np.ndarray,
+        reserved: np.ndarray,
+    ) -> np.ndarray:
+        """Which pending requests could start at ``now`` without delaying
+        any other reservation.
+
+        Element ``j`` equals ``can_place(now, durations[j], nodes[j],
+        bonus=(reserved[j], reserved[j] + durations[j], nodes[j]))``:
+        request ``j`` starts now, ignoring its own reservation window.
+
+        Requires every ``reserved[j] > now`` (CBF guarantees it once the
+        due reservations have started).  Then the bonus covers exactly
+        the part of ``[now, now + d)`` at or after ``rs``: it starts
+        after ``now`` and ends at ``rs + d >= now + d``, and it adds the
+        request's own ``n`` nodes, so ``free + n >= n`` under it.  So the
+        answer is whether the minimum free count over ``[now,
+        min(now + d, rs))`` is at least ``n`` — one running minimum from
+        the segment holding ``now``, one ``searchsorted`` over every
+        horizon, and one compare.  Raises :exc:`ProfileError` if the
+        precondition fails rather than answer a bit it cannot prove.
+        """
+        times, free = self.times, self.free
+        i = int(np.searchsorted(times, now, side="right")) - 1
+        if i < 0:
+            raise ProfileError(f"time {now} precedes profile origin")
+        if (reserved <= now).any():
+            raise ProfileError(
+                f"backfill_mask needs every reservation after now={now}"
+            )
+        horizon = np.minimum(now + durations, reserved)
+        # Segments i..k-1 overlap [now, horizon); k >= i + 1.
+        k = np.searchsorted(times, horizon, side="left")
+        run_min = np.minimum.accumulate(free[i:int(k.max(initial=i + 1))])
+        return run_min[k - 1 - i] >= nodes
 
     def find_start(self, nodes: int, duration: float, earliest: float) -> float:
         """Earliest ``t >= earliest`` with ``nodes`` free throughout

@@ -20,7 +20,7 @@ from .lublin import LublinGenerator, LublinParams
 from .regimes import RegimeGenerator, ServiceRegime
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StreamJob:
     """A fully specified job, ready for submission.
 

@@ -169,6 +169,41 @@ def drain_queue_in_thread(executor, runner, configs, worker_id="w"):
     return thread
 
 
+class TestInProcessStreamMemo:
+    """Workload streams are generated once per (seed, replication)."""
+
+    def count_generations(self, monkeypatch):
+        from repro.core import experiment
+
+        calls = []
+        real = experiment.generate_platform_streams
+
+        def counting(factory, replication, *args, **kwargs):
+            calls.append(replication)
+            return real(factory, replication, *args, **kwargs)
+
+        monkeypatch.setattr(
+            experiment, "generate_platform_streams", counting
+        )
+        experiment._cached_streams.cache_clear()
+        return calls
+
+    def test_schemes_of_one_grid_share_streams(self, monkeypatch):
+        calls = self.count_generations(monkeypatch)
+        configs = [tiny(seed=31), tiny(seed=31, scheme="R2"),
+                   tiny(seed=31, scheme="ALL")]
+        Orchestrator(configs, 2).execute(InProcessExecutor())
+        assert sorted(calls) == [0, 1]
+
+    def test_later_grids_over_one_workload_reuse_streams(self, monkeypatch):
+        calls = self.count_generations(monkeypatch)
+        for algorithm in ("easy", "cbf", "fcfs"):
+            configs = [tiny(seed=32, algorithm=algorithm),
+                       tiny(seed=32, algorithm=algorithm, scheme="R2")]
+            Orchestrator(configs, 2).execute(InProcessExecutor())
+        assert sorted(calls) == [0, 1]
+
+
 class TestWorkQueueExecutor:
     def test_grid_matches_inprocess(self):
         configs = [tiny(), tiny(scheme="R2")]

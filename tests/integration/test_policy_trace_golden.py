@@ -10,12 +10,12 @@ outages and resubmission.  The policy layer extracted that block into
 byte, so the refactor is observationally free.
 """
 
-import json
 from pathlib import Path
 
 from repro.core.config import ExperimentConfig
 from repro.faults import FaultConfig
-from repro.obs.trace import run_single_traced
+
+from .golden import render_traces
 
 GOLDEN = Path(__file__).parent / "data" / "cancel_on_start_golden.jsonl"
 
@@ -48,25 +48,5 @@ CONFIGS = (
 )
 
 
-def render_current() -> str:
-    lines = []
-    for ci, cfg in enumerate(CONFIGS):
-        traced = run_single_traced(cfg, replication=0)
-        for t, etype, cluster, request_id, job_id in traced.events:
-            lines.append(json.dumps(
-                {
-                    "config": ci,
-                    "t": t,
-                    "type": etype,
-                    "cluster": cluster,
-                    "request": request_id,
-                    "job": job_id,
-                },
-                sort_keys=True,
-                separators=(",", ":"),
-            ))
-    return "\n".join(lines) + "\n"
-
-
 def test_cancel_on_start_traces_byte_identical():
-    assert render_current() == GOLDEN.read_text()
+    assert render_traces(CONFIGS) == GOLDEN.read_text()

@@ -100,6 +100,27 @@ class TestChurn:
         sim.run()
         assert c.start_time == 10.0  # moved up into b's freed slot
 
+    def test_reentrant_cancel_during_backfill_scan(self, sim, cbf):
+        """A start callback cancelling a later candidate in the same
+        queue: the scan skips it and keeps backfilling the rest."""
+        blocker = make_request(nodes=8, runtime=5.0, requested=100.0)
+        a, b, c = (make_request(nodes=2, runtime=10.0) for _ in range(3))
+        for r in (blocker, a, b, c):
+            cbf.submit(r)
+        assert [r.reserved_start for r in (a, b, c)] == [100.0] * 3
+
+        def cancel_b(request, now):
+            if request is a:
+                cbf.cancel(b)
+
+        cbf.add_start_callback(cancel_b)
+        sim.run()
+        assert a.start_time == 5.0
+        assert b.state is RequestState.CANCELLED
+        assert c.start_time == 5.0
+        assert cbf.stats.backfilled == 2
+        cbf.check_invariants()
+
     def test_early_finish_lets_backfill_start(self, sim, cbf):
         early = make_request(nodes=8, runtime=5.0, requested=100.0)
         nxt = make_request(nodes=8, runtime=5.0)

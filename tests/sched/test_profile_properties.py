@@ -10,6 +10,8 @@ against first principles, not against itself.
 
 import math
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -319,3 +321,152 @@ def test_from_running_matches_reference(running):
         raise AssertionError("reference accepted what vectorised rejected")
     ref = ReferenceProfile.from_running(10.0, TOTAL, running)
     assert vec.segments() == ref.segments()
+
+
+# -- batch backfill check ---------------------------------------------------
+#
+# CBF's backfill scan asks one question per pending request: can it
+# start now if its own (future) reservation is ignored?  backfill_mask
+# answers it for all requests at once; these properties pin every bit to
+# the scalar can_place, the list-backed reference and the pointwise
+# model.  Coordinates are drawn on a half-second grid as well as freely,
+# so reservation starts, window ends and ``now`` land exactly on
+# breakpoints often.
+
+coords = st.one_of(
+    st.integers(min_value=0, max_value=120).map(lambda x: x / 2),
+    st.floats(min_value=0.0, max_value=60.0),
+)
+lengths = st.one_of(
+    st.integers(min_value=1, max_value=80).map(lambda x: x / 2),
+    st.floats(min_value=0.1, max_value=40.0),
+    st.just(1e6),  # reaches past every breakpoint
+)
+
+
+def _build(ops):
+    """The same reserve/adjust interleaving on both implementations."""
+    vec = Profile(0.0, TOTAL, TOTAL)
+    ref = ReferenceProfile(0.0, TOTAL, TOTAL)
+    for kind, start, length, amount in ops:
+        delta = -amount if kind == "reserve" else amount
+        try:
+            vec.adjust(start, start + length, delta)
+        except ProfileError:
+            continue  # infeasible sample; both reject it
+        ref.adjust(start, start + length, delta)
+    assert vec.segments() == ref.segments()
+    return vec, ref
+
+
+def _expected(p, ref, now, cands):
+    bits = []
+    for rs, d, n in cands:
+        bonus = (rs, rs + d, n)
+        want = p.can_place(now, d, n, bonus=bonus)
+        assert ref.can_place(now, d, n, bonus=bonus) == want
+        assert naive_can_place(p, now, d, n, bonus) == want
+        bits.append(want)
+    return bits
+
+
+def _mask(p, now, cands):
+    rs, d, n = (np.array(col) for col in zip(*cands))
+    return p.backfill_mask(
+        now, d.astype(np.float64), n.astype(np.int64), rs.astype(np.float64)
+    )
+
+
+profile_builds = st.lists(
+    st.tuples(
+        st.sampled_from(("reserve", "release")),
+        coords,
+        lengths,
+        st.integers(min_value=1, max_value=TOTAL),
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ops=profile_builds, now=coords, data=st.data())
+def test_backfill_mask_matches_scalar_checks(ops, now, data):
+    """Every bit equals can_place with the own reservation as bonus."""
+    p, ref = _build(ops)
+    later = [t for t in p.times.tolist() if t > now]
+    offsets = st.one_of(
+        st.integers(min_value=1, max_value=80).map(lambda x: x / 2),
+        st.floats(min_value=1e-6, max_value=60.0),
+    )
+    starts = offsets.map(lambda x: now + x)
+    if later:
+        # Reservations starting exactly on a breakpoint.
+        starts = st.one_of(starts, st.sampled_from(later))
+    cands = data.draw(st.lists(
+        st.tuples(starts, lengths, st.integers(min_value=1, max_value=TOTAL)),
+        min_size=1, max_size=8,
+    ))
+    assert _mask(p, now, cands).tolist() == _expected(p, ref, now, cands)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=profile_builds, now=coords, data=st.data())
+def test_backfill_mask_windows_ending_on_breakpoints(ops, now, data):
+    """``now + d`` exactly on a breakpoint, before or after ``rs``."""
+    p, ref = _build(ops)
+    later = [t for t in p.times.tolist() if t > now]
+    if not later:
+        return
+    cands = []
+    for _ in range(data.draw(st.integers(min_value=1, max_value=6))):
+        end = data.draw(st.sampled_from(later))
+        d = end - now
+        if now + d != end:
+            continue  # inexact in floats; grid coordinates are always exact
+        rs = data.draw(st.sampled_from(later + [end + 1.0, end + 50.0]))
+        cands.append((rs, d, data.draw(st.integers(1, TOTAL))))
+    if not cands:
+        return
+    assert _mask(p, now, cands).tolist() == _expected(p, ref, now, cands)
+
+
+def test_backfill_mask_edge_cases():
+    """Hand-placed breakpoints: each case against can_place."""
+    p = Profile(0.0, TOTAL, TOTAL)
+    p.reserve(10.0, 10.0, 6)   # free 2 over [10, 20)
+    p.reserve(30.0, 5.0, 3)    # free 5 over [30, 35)
+    now = 5.0
+    cands = [
+        (10.0, 5.0, 4),   # now + d == rs == breakpoint: fits
+        (10.0, 6.0, 4),   # rs on a breakpoint, window past it: bonus covers
+        (12.0, 10.0, 4),  # short segment [10, 12) before rs: blocked
+        (40.0, 5.0, 8),   # rs >= now + d, window ends on a breakpoint
+        (40.0, 6.0, 8),   # rs >= now + d, window crosses [10, 20)
+        (20.0, 1e6, 2),   # window past every breakpoint, free >= 2 until rs
+        (35.0, 1e6, 5),   # blocked at [10, 20) long before rs
+        (1e9, 1e6, 2),    # everything before rs, minimum 2
+    ]
+    want = [p.can_place(now, d, n, bonus=(rs, rs + d, n)) for rs, d, n in cands]
+    assert want == [True, True, False, True, False, True, False, True]
+    assert _mask(p, now, cands).tolist() == want
+    # ``now`` on a breakpoint itself.
+    at = [(12.0, 3.0, 2), (12.0, 3.0, 3), (21.0, 3.0, 3)]
+    want = [p.can_place(10.0, d, n, bonus=(rs, rs + d, n)) for rs, d, n in at]
+    assert want == [True, False, False]
+    assert _mask(p, 10.0, at).tolist() == want
+
+
+def test_backfill_mask_refuses_reservations_not_after_now():
+    """``rs <= now`` breaks the proof: raise, never answer a bit."""
+    p = Profile(0.0, TOTAL, TOTAL)
+    p.reserve(10.0, 10.0, 6)
+    for rs in (5.0, 4.0, 0.0):
+        with pytest.raises(ProfileError, match="after now"):
+            _mask(p, 5.0, [(20.0, 1.0, 1), (rs, 3.0, 2)])
+    assert _mask(p, 5.0, [(5.5, 3.0, 2)]).tolist() == [True]
+
+
+def test_backfill_mask_rejects_queries_before_origin():
+    p = Profile(10.0, TOTAL, TOTAL)
+    with pytest.raises(ProfileError, match="precedes"):
+        _mask(p, 5.0, [(20.0, 1.0, 1)])
