@@ -13,6 +13,7 @@ import pytest
 from repro.cluster.cluster import Cluster
 from repro.core.config import ExperimentConfig
 from repro.core.experiment import run_single
+from repro.obs.stream import ONLINE_QUANTILES, OnlineMetrics
 from repro.sched import CBFScheduler, EASYScheduler
 from repro.sched.job import Request
 from repro.sched.profile import Profile
@@ -20,6 +21,7 @@ from repro.sim.engine import Simulator
 from repro.sim.events import EventPriority
 from repro.sim.rng import RngFactory
 from repro.workload.lublin import LublinGenerator, LublinParams
+from tests.obs.stream_ref import RefP2Quantile, RefWelford
 
 
 def test_perf_event_loop(benchmark, scale):
@@ -115,6 +117,43 @@ def test_perf_cbf_backfill_pass(benchmark, scale, depth):
 
     backfilled = benchmark.pedantic(run, setup=setup, rounds=10)
     assert backfilled > 0
+
+
+@pytest.mark.parametrize("feed", ["per_value", "replay"])
+def test_perf_online_replay(benchmark, scale, feed):
+    """Online estimators over a 3,600-completion run.
+
+    ``per_value`` is the frozen one-call-per-value reference (three
+    metrics, each one Welford and three P² updates per completion, as
+    the coordinator's finish callback used to do); ``replay`` is the
+    single end-of-run :meth:`OnlineMetrics.replay` the coordinator does
+    now.  Both end in the same bits.
+    """
+    rng = np.random.default_rng(3600)
+    waits = [float(x) for x in rng.exponential(300.0, 3600)]
+    stretches = [float(x) for x in 1.0 + rng.lognormal(1.0, 2.0, 3600)]
+    slowdowns = [max(1.0, x / 2.0) for x in stretches]
+
+    def per_value():
+        banks = [
+            (RefWelford(), [RefP2Quantile(p) for p in ONLINE_QUANTILES])
+            for _ in range(3)
+        ]
+        for row in zip(stretches, waits, slowdowns):
+            for (welford, quantiles), x in zip(banks, row):
+                welford.observe(x)
+                for q in quantiles:
+                    q.observe(x)
+        return banks[0][1][0].value
+
+    def replay():
+        online = OnlineMetrics()
+        online.replay(waits, stretches, slowdowns, [])
+        return online.stats["stretch"].quantiles[0].value
+
+    run = per_value if feed == "per_value" else replay
+    median = benchmark(run)
+    assert repr(median) == repr(replay())
 
 
 def test_perf_lublin_sampling(benchmark, scale):

@@ -121,13 +121,16 @@ class Coordinator:
     online:
         Optional :class:`~repro.obs.stream.OnlineMetrics`.  When
         attached, the coordinator registers one finish callback per
-        scheduler and feeds the streaming estimators at each winning
-        completion (stretch/wait/slowdown) and each duplicate
-        completion (wasted node-seconds) — including cancel-on-complete
-        runs, whose waste becomes attributable only as the losers
-        finish.  ``None`` (the default) registers *no* hooks: the
-        disabled path allocates nothing and the run is bit-identical to
-        an uninstrumented one.
+        scheduler that appends the finishing request to a
+        completion-order list, and :meth:`replay_online` replays that
+        list into the estimators once: stretch/wait/slowdown for each
+        winning completion and wasted node-seconds for each duplicate
+        completion — including cancel-on-complete runs, whose losers
+        finish beside the winner — then the horizon's partial waste.
+        The estimators see the same values in the same order as a
+        per-completion feed.  ``None`` (the default) registers *no*
+        hooks: the disabled path does no per-event work and the run is
+        bit-identical to an uninstrumented one.
     """
 
     def __init__(
@@ -179,6 +182,9 @@ class Coordinator:
         self._total_cancellations = 0
         self._finalized = False
         self.online = online
+        #: finished requests in finish-event order (``online`` only)
+        self._completions: list[Request] = []
+        self._replayed = False
         for sched in platform.schedulers:
             sched.add_start_callback(self._on_request_start)
         if online is not None:
@@ -261,32 +267,62 @@ class Coordinator:
         self.policy.on_winner_start(self, job)
 
     def _on_request_finish(self, request: Request, now: float) -> None:
-        """Feed the online estimators (registered only when enabled).
+        """Record a completion for the online replay (enabled runs only).
 
-        A finishing winner defines its job's metrics, so stretch, wait
-        and bounded slowdown are observed here — the same instant the
-        post-hoc :class:`~repro.core.results.JobOutcome` would record.
-        A finishing non-winner is a duplicate start: its node-seconds
-        became fully attributable just now, which is the waste timeline
-        cancel-on-complete needs (losers run beside the winner and are
-        only charged as they end).
+        Finish callbacks fire in finish-event order across every
+        scheduler, which is the order the estimators must see; the
+        job records cannot stand in for it, being in job-id order.
         """
-        job = request.group
-        if not isinstance(job, RedundantJob):
-            return  # request not managed by this coordinator
+        self._completions.append(request)
+
+    def replay_online(self) -> None:
+        """Feed the online estimators every completion, then the horizon waste.
+
+        Runs :meth:`finalize` first if it has not run yet, and replays
+        only once: a second call leaves the estimators as they are, so
+        nothing is counted twice.  A no-op without ``online``.  The
+        values go through the estimators in finish-event order, so the
+        payload is bit-identical to feeding each completion as it
+        happened.
+
+        A finishing winner defines its job's metrics (the same values
+        the post-hoc :class:`~repro.core.results.JobOutcome` records); a
+        finishing non-winner is a duplicate start, charged its
+        node-seconds at its own finish, which is how cancel-on-complete
+        losers running beside the winner are counted.  Duplicates still
+        running at the horizon never finish, so their partial
+        node-seconds follow the completed ones and the waste total
+        matches ``wasted_node_seconds(now)``.
+        """
         online = self.online
-        assert online is not None  # callback registered iff enabled
-        if request is job.winner:
-            assert request.start_time is not None
-            turnaround = now - job.spec.arrival
-            online.observe_completion(
-                wait=request.start_time - job.spec.arrival,
-                stretch=stretch(turnaround, job.spec.runtime),
-                slowdown=bounded_slowdown(turnaround, job.spec.runtime),
-            )
-        else:
-            assert request.start_time is not None
-            online.observe_waste((now - request.start_time) * request.nodes)
+        if online is None or self._replayed:
+            return
+        if not self._finalized:
+            self.finalize()
+        self._replayed = True
+        waits: list[float] = []
+        stretches: list[float] = []
+        slowdowns: list[float] = []
+        wastes: list[float] = []
+        for request in self._completions:
+            job = request.group
+            if not isinstance(job, RedundantJob):
+                continue  # request not managed by this coordinator
+            start, end = request.start_time, request.end_time
+            assert start is not None and end is not None
+            if request is job.winner:
+                arrival, runtime = job.spec.arrival, job.spec.runtime
+                turnaround = end - arrival
+                waits.append(start - arrival)
+                stretches.append(stretch(turnaround, runtime))
+                slowdowns.append(bounded_slowdown(turnaround, runtime))
+            else:
+                wastes.append((end - start) * request.nodes)
+        now = self.sim.now
+        for req in self.duplicate_starts:
+            if req.end_time is None and req.start_time is not None:
+                wastes.append(max(0.0, now - req.start_time) * req.nodes)
+        online.replay(waits, stretches, slowdowns, wastes)
 
     def dispatch_cancellations(self, job: RedundantJob) -> None:
         """Dispatch the sibling-cancellation sweep for ``job`` now.
@@ -493,6 +529,9 @@ class Coordinator:
         window, not simulated middleware traffic.  Also latches the
         finalized flag so stray recovery callbacks draining after the
         horizon cannot resubmit copies into the closed run.
+
+        The online estimators are fed afterwards, by
+        :meth:`replay_online`.
         """
         self._finalized = True
         for job in self.jobs:
@@ -501,16 +540,6 @@ class Coordinator:
             for req in job.requests:
                 if req is not job.winner and req.state is RequestState.PENDING:
                     self._cancel_one(job, req, force=True)
-        if self.online is not None:
-            # Duplicates still running at the horizon never reach the
-            # finish callback; charge their partial node-seconds now so
-            # the online waste total matches wasted_node_seconds(now).
-            now = self.sim.now
-            for req in self.duplicate_starts:
-                if req.end_time is None and req.start_time is not None:
-                    self.online.observe_waste(
-                        max(0.0, now - req.start_time) * req.nodes
-                    )
 
     # -- accounting --------------------------------------------------------
 

@@ -15,8 +15,8 @@ The protocol follows Section 3.3 of the paper exactly:
 from __future__ import annotations
 
 # repro-lint: disable-file=DET001 -- perf_counter here only stamps the
-# generate/simulate/aggregate phase timings (wall_time_s metrics); no
-# host time ever reaches the simulated trajectory
+# generate/simulate/online/aggregate phase timings (wall_time_s
+# metrics); no host time ever reaches the simulated trajectory
 import time
 from typing import TYPE_CHECKING, Optional
 
@@ -221,11 +221,16 @@ def run_single(
     strict-no-op discipline as ``tracer`` when ``None``.
 
     ``online`` (default on) attaches the O(1)-memory streaming
-    estimators of :mod:`repro.obs.stream` to the coordinator and stores
-    their snapshot as ``result.online_metrics``.  The estimators add no
-    events and draw no RNG, so the trajectory — every other result
-    field — is bit-identical either way; ``online=False`` registers no
-    hooks at all and leaves ``online_metrics`` as ``None``.
+    estimators of :mod:`repro.obs.stream` to the coordinator, which
+    records completions as they happen and, after ``finalize``,
+    replays them into the estimators once, in completion order; their
+    snapshot is stored as ``result.online_metrics`` and the replay's
+    host time as ``phase_timings["online_s"]`` (its own phase, between
+    ``simulate_s`` and ``aggregate_s``).  The estimators add no events
+    and draw no RNG, so the trajectory — every other result field — is
+    bit-identical either way; ``online=False`` registers no hooks at
+    all, leaves ``online_metrics`` as ``None`` and records no
+    ``online_s``.
 
     ``probe`` optionally attaches a sim-time state sampler (see
     :class:`repro.obs.probes.ProbeSampler`); the sampler's rows are the
@@ -314,6 +319,8 @@ def run_single(
     # horizon (a no-op at zero latency without faults).
     coordinator.finalize()
     t_simulated = time.perf_counter()
+    coordinator.replay_online()  # a no-op unless online
+    t_online = time.perf_counter()
 
     if auditor is not None:
         auditor.final_check(platform, coordinator)
@@ -372,10 +379,12 @@ def run_single(
         phase_timings={
             "generate_s": t_generated - t0,
             "simulate_s": t_simulated - t_generated,
-            "aggregate_s": time.perf_counter() - t_simulated,
+            "aggregate_s": time.perf_counter() - t_online,
         },
         online_metrics=(
             online_metrics.to_dict() if online_metrics is not None else None
         ),
     )
+    if online_metrics is not None:
+        result.phase_timings["online_s"] = t_online - t_simulated
     return result

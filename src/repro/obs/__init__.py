@@ -54,6 +54,7 @@ from .probes import (
 from .stream import (
     ONLINE_SCHEMA_VERSION,
     MergedOnlineMetrics,
+    NonFiniteObservationError,
     OnlineMetrics,
     P2Quantile,
     WelfordAccumulator,
@@ -93,6 +94,7 @@ __all__ = [
     "ONLINE_SCHEMA_VERSION",
     "OnlineMetrics",
     "MergedOnlineMetrics",
+    "NonFiniteObservationError",
     "P2Quantile",
     "WelfordAccumulator",
     "merge_online_payloads",

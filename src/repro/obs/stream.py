@@ -4,8 +4,9 @@ The paper's harmfulness verdict rests on distribution-level statistics
 — stretch quantiles, waste fractions — that the repo historically
 computed post-hoc from fully materialised per-request arrays.  That is
 a dead end for multi-million-job streaming replay (ROADMAP item 5) and
-for knee detection (item 3), where the interesting signal must be read
-*during* the run.  This module provides the O(1)-memory substrate:
+for knee detection (item 3), where the signal must come from estimators
+whose state does not grow with the stream.  This module provides that
+O(1)-memory substrate:
 
 * :class:`WelfordAccumulator` — numerically stable online mean and
   variance (Welford's update, Chan's parallel merge), plus min/max and
@@ -14,8 +15,10 @@ for knee detection (item 3), where the interesting signal must be read
   five-marker piecewise-parabolic estimator of one quantile that never
   stores the population.  Exact below five observations.
 * :class:`OnlineStat` — one metric's bundle (moments + p50/p90/p99).
-* :class:`OnlineMetrics` — the per-run set the coordinator updates at
-  request completion (stretch, wait, bounded slowdown, wasted work).
+* :class:`OnlineMetrics` — the per-run set (stretch, wait, bounded
+  slowdown, wasted work), replayed at finalize in completion order: the
+  coordinator records finishing requests during the run and feeds the
+  estimators once, afterwards, one column per metric.
 * :class:`MergedOnlineMetrics` — the sweep-level reduction.  Its merge
   is list concatenation of immutable per-run summaries, so it is
   *exactly* associative: ``(a + b) + c`` and ``a + (b + c)`` hold the
@@ -24,6 +27,16 @@ for knee detection (item 3), where the interesting signal must be read
   may therefore reduce partial sweeps in any grouping, as long as the
   final part order is the deterministic ``(config, replication)`` task
   order (which :func:`~repro.core.parallel.run_grid` guarantees).
+
+Both estimators take values in batches through ``observe_many``, which
+keeps the state in locals for the whole batch (and unrolls P²'s marker
+loop) but performs the float operations of the one-value update in the
+same order: any split of a stream into batches, down to one value per
+call (``observe``), gives the same bits.  ``tests/obs/stream_ref.py``
+keeps the original one-value code as the oracle.  A NaN or infinite
+value is refused with :class:`NonFiniteObservationError` before any
+state changes: one would poison the moments, null every quantile and
+make the payload non-strict JSON.
 
 Accuracy contract (verified by ``tests/obs/test_stream.py`` and
 ``tests/obs/test_probes.py``).  P² error is stated in *CDF space* —
@@ -85,10 +98,29 @@ def quantile_label(p: float) -> str:
     return f"p{100 * p:g}".replace(".", "_")
 
 
+class NonFiniteObservationError(ValueError):
+    """An online estimator was handed a NaN or infinite value.
+
+    One such value would turn ``mean``/``m2``/``total`` into NaN and
+    null every quantile, and the payload would stop being strict JSON,
+    so the batch path refuses the whole batch before touching any state.
+    """
+
+
+def _require_finite(values: Sequence[float], what: str = "observation") -> None:
+    """Raise :class:`NonFiniteObservationError` if any value is NaN/inf."""
+    if not all(map(math.isfinite, values)):
+        bad = next(x for x in values if not math.isfinite(x))
+        raise NonFiniteObservationError(
+            f"non-finite {what} {bad!r}: online estimators take finite "
+            f"values only"
+        )
+
+
 class WelfordAccumulator:
     """Online mean/variance/min/max/total in O(1) memory.
 
-    Uses Welford's recurrence for single observations and Chan et al.'s
+    Uses Welford's recurrence for observations and Chan et al.'s
     pairwise update for :meth:`merge`, both numerically stable.  The
     running ``total`` is kept separately (not ``count * mean``) so waste
     totals do not pick up mean-rounding drift.
@@ -105,15 +137,30 @@ class WelfordAccumulator:
         self.maximum = -math.inf
 
     def observe(self, x: float) -> None:
-        self.count += 1
-        delta = x - self.mean
-        self.mean += delta / self.count
-        self.m2 += delta * (x - self.mean)
-        self.total += x
-        if x < self.minimum:
-            self.minimum = x
-        if x > self.maximum:
-            self.maximum = x
+        self.observe_many((x,))
+
+    def observe_many(self, values: Sequence[float]) -> None:
+        """Apply Welford's update to ``values`` in order.
+
+        The state lives in locals for the whole batch; the float
+        operations and their order are those of one update per value,
+        so any split of a stream into batches gives the same bits.
+        """
+        _require_finite(values)
+        count, mean, m2 = self.count, self.mean, self.m2
+        total, lo, hi = self.total, self.minimum, self.maximum
+        for x in values:
+            count += 1
+            delta = x - mean
+            mean += delta / count
+            m2 += delta * (x - mean)
+            total += x
+            if x < lo:
+                lo = x
+            if x > hi:
+                hi = x
+        self.count, self.mean, self.m2 = count, mean, m2
+        self.total, self.minimum, self.maximum = total, lo, hi
 
     def merge(self, other: "WelfordAccumulator") -> None:
         """Fold ``other`` into ``self`` (Chan's parallel combination)."""
@@ -172,6 +219,10 @@ class P2Quantile:
     observations arrive, so the ``p`` estimate is available at any time
     without storing the stream.  For fewer than five observations the
     estimate is the exact interpolated empirical quantile.
+
+    Only the three interior markers keep desired positions: the outer
+    two belong at positions 1 and ``count``, which is where they always
+    are, so no update reads theirs.
     """
 
     __slots__ = ("p", "count", "_heights", "_pos", "_desired", "_inc")
@@ -183,61 +234,114 @@ class P2Quantile:
         self.count = 0
         self._heights: list[float] = []
         self._pos = [1.0, 2.0, 3.0, 4.0, 5.0]
-        self._desired = [1.0, 1.0 + 2.0 * p, 1.0 + 4.0 * p, 3.0 + 2.0 * p, 5.0]
-        self._inc = [0.0, p / 2.0, p, (1.0 + p) / 2.0, 1.0]
+        self._desired = [1.0 + 2.0 * p, 1.0 + 4.0 * p, 3.0 + 2.0 * p]
+        self._inc = (p / 2.0, p, (1.0 + p) / 2.0)
 
     def observe(self, x: float) -> None:
-        self.count += 1
+        self.observe_many((x,))
+
+    def observe_many(self, values: Sequence[float]) -> None:
+        """Feed ``values`` through P² in order, in one call.
+
+        Markers live in locals ``h0..h4`` (heights), ``n0..n4``
+        (positions) and ``d1..d3`` (desired positions) for the whole
+        batch, and the per-marker loop is unrolled.  Each value goes
+        through the textbook update: (1) find its cell, moving an
+        extreme marker if it falls outside; (2) shift the positions
+        above the cell and advance the desired ones; (3) move each
+        interior marker that is a position or more from where it should
+        be one step toward it, by the parabolic formula if that keeps
+        the heights ordered and linearly otherwise.  The float
+        operations and their order are those of the one-value update,
+        so any split of a stream into batches gives the same bits.
+        """
+        _require_finite(values)
         h = self._heights
-        if self.count <= 5:
-            # Warm-up: collect the first five observations exactly.
+        count = self.count
+        it = iter(values)
+        # Warm-up: collect the first five observations exactly.
+        while count < 5:
+            x = next(it, None)
+            if x is None:
+                self.count = count
+                return
+            count += 1
             h.append(x)
             h.sort()
-            return
-        pos = self._pos
-        # 1. Find the cell x falls into; adjust the extreme markers.
-        if x < h[0]:
-            h[0] = x
-            k = 0
-        elif x >= h[4]:
-            h[4] = x
-            k = 3
-        else:
-            k = 0
-            while k < 3 and x >= h[k + 1]:
-                k += 1
-        # 2. Shift actual positions above the cell; advance desired ones.
-        for i in range(k + 1, 5):
-            pos[i] += 1.0
-        for i in range(5):
-            self._desired[i] += self._inc[i]
-        # 3. Nudge the three interior markers toward their desired
-        #    positions, parabolic where monotone, linear otherwise.
-        for i in range(1, 4):
-            d = self._desired[i] - pos[i]
-            if (d >= 1.0 and pos[i + 1] - pos[i] > 1.0) or (
-                d <= -1.0 and pos[i - 1] - pos[i] < -1.0
-            ):
-                step = 1.0 if d >= 1.0 else -1.0
-                candidate = self._parabolic(i, step)
-                if h[i - 1] < candidate < h[i + 1]:
-                    h[i] = candidate
+        h0, h1, h2, h3, h4 = h
+        n0, n1, n2, n3, n4 = self._pos
+        d1, d2, d3 = self._desired
+        i1, i2, i3 = self._inc
+        for x in it:
+            count += 1
+            # (1) + (2): cell search, extreme markers, position shifts.
+            if x < h0:
+                h0 = x
+                n1 += 1.0
+                n2 += 1.0
+                n3 += 1.0
+            elif x >= h4:
+                h4 = x
+            elif x < h1:
+                n1 += 1.0
+                n2 += 1.0
+                n3 += 1.0
+            elif x < h2:
+                n2 += 1.0
+                n3 += 1.0
+            elif x < h3:
+                n3 += 1.0
+            n4 += 1.0
+            d1 += i1
+            d2 += i2
+            d3 += i3
+            # (3) interior markers, in order 1, 2, 3.
+            d = d1 - n1
+            if (d >= 1.0 and n2 - n1 > 1.0) or (d <= -1.0 and n0 - n1 < -1.0):
+                s = 1.0 if d >= 1.0 else -1.0
+                q = h1 + s / (n2 - n0) * (
+                    (n1 - n0 + s) * (h2 - h1) / (n2 - n1)
+                    + (n2 - n1 - s) * (h1 - h0) / (n1 - n0)
+                )
+                if h0 < q < h2:
+                    h1 = q
+                elif s > 0.0:
+                    h1 = h1 + s * (h2 - h1) / (n2 - n1)
                 else:
-                    h[i] = self._linear(i, step)
-                pos[i] += step
-        return
-
-    def _parabolic(self, i: int, d: float) -> float:
-        h, n = self._heights, self._pos
-        return h[i] + d / (n[i + 1] - n[i - 1]) * (
-            (n[i] - n[i - 1] + d) * (h[i + 1] - h[i]) / (n[i + 1] - n[i])
-            + (n[i + 1] - n[i] - d) * (h[i] - h[i - 1]) / (n[i] - n[i - 1])
-        )
-
-    def _linear(self, i: int, d: float) -> float:
-        h, n = self._heights, self._pos
-        j = i + int(d)
-        return h[i] + d * (h[j] - h[i]) / (n[j] - n[i])
+                    h1 = h1 + s * (h0 - h1) / (n0 - n1)
+                n1 += s
+            d = d2 - n2
+            if (d >= 1.0 and n3 - n2 > 1.0) or (d <= -1.0 and n1 - n2 < -1.0):
+                s = 1.0 if d >= 1.0 else -1.0
+                q = h2 + s / (n3 - n1) * (
+                    (n2 - n1 + s) * (h3 - h2) / (n3 - n2)
+                    + (n3 - n2 - s) * (h2 - h1) / (n2 - n1)
+                )
+                if h1 < q < h3:
+                    h2 = q
+                elif s > 0.0:
+                    h2 = h2 + s * (h3 - h2) / (n3 - n2)
+                else:
+                    h2 = h2 + s * (h1 - h2) / (n1 - n2)
+                n2 += s
+            d = d3 - n3
+            if (d >= 1.0 and n4 - n3 > 1.0) or (d <= -1.0 and n2 - n3 < -1.0):
+                s = 1.0 if d >= 1.0 else -1.0
+                q = h3 + s / (n4 - n2) * (
+                    (n3 - n2 + s) * (h4 - h3) / (n4 - n3)
+                    + (n4 - n3 - s) * (h3 - h2) / (n3 - n2)
+                )
+                if h2 < q < h4:
+                    h3 = q
+                elif s > 0.0:
+                    h3 = h3 + s * (h4 - h3) / (n4 - n3)
+                else:
+                    h3 = h3 + s * (h2 - h3) / (n2 - n3)
+                n3 += s
+        self.count = count
+        self._heights = [h0, h1, h2, h3, h4]
+        self._pos = [n0, n1, n2, n3, n4]
+        self._desired = [d1, d2, d3]
 
     @property
     def value(self) -> float:
@@ -259,9 +363,13 @@ class OnlineStat:
         self.quantiles = [P2Quantile(p) for p in quantiles]
 
     def observe(self, x: float) -> None:
-        self.welford.observe(x)
+        self.observe_many((x,))
+
+    def observe_many(self, values: Sequence[float]) -> None:
+        """Feed ``values``, in order, to the moments and every quantile."""
+        self.welford.observe_many(values)
         for q in self.quantiles:
-            q.observe(x)
+            q.observe_many(values)
 
     def summary(self) -> dict:
         """Immutable plain-dict snapshot (the mergeable part payload).
@@ -287,17 +395,24 @@ class OnlineStat:
 
 
 class OnlineMetrics:
-    """Per-run streaming metrics, updated inside the coordinator.
+    """Per-run streaming metrics, replayed at finalize in completion order.
 
-    ``observe_completion`` fires once per completed job (at the winning
-    request's finish event); ``observe_waste`` fires once per duplicate
-    copy as its node-seconds become attributable — at the duplicate's
-    own completion, or at :meth:`~repro.core.coordinator.Coordinator.
-    finalize` for duplicates still running at the horizon.  The
-    population therefore matches the post-hoc arrays exactly: the
-    ``stretch`` count equals ``len(result.jobs)`` and the wasted-work
-    total equals ``result.wasted_node_seconds`` up to float-summation
-    order.
+    The coordinator records each finishing request during the run and,
+    at :meth:`~repro.core.coordinator.Coordinator.finalize`, hands
+    :meth:`replay` one column per metric: wait, stretch and bounded
+    slowdown of every completed job, in the order the winners finished,
+    and the node-seconds of every duplicate copy, in the order they
+    finished, followed by the partial node-seconds of duplicates still
+    running at the horizon.  The estimators therefore see exactly the
+    sequence a per-completion feed would have produced, and the payload
+    is the same to the bit.  The population matches the post-hoc arrays
+    exactly: the ``stretch`` count equals ``len(result.jobs)`` and the
+    wasted-work total equals ``result.wasted_node_seconds`` up to
+    float-summation order.
+
+    :meth:`observe_completion` and :meth:`observe_waste` are one-value
+    calls into the same batch code, for callers that feed values as
+    they arrive.
     """
 
     __slots__ = ("stats",)
@@ -305,15 +420,36 @@ class OnlineMetrics:
     def __init__(self, quantiles: Sequence[float] = ONLINE_QUANTILES) -> None:
         self.stats = {name: OnlineStat(quantiles) for name in ONLINE_METRIC_NAMES}
 
+    def replay(
+        self,
+        waits: Sequence[float],
+        stretches: Sequence[float],
+        slowdowns: Sequence[float],
+        wastes: Sequence[float],
+    ) -> None:
+        """Feed one column per metric, each in its own arrival order.
+
+        Raises :class:`NonFiniteObservationError`, naming the metric,
+        before any estimator changes if a column holds NaN or inf.
+        """
+        columns = {
+            "stretch": stretches,
+            "wait": waits,
+            "slowdown": slowdowns,
+            "wasted_node_seconds": wastes,
+        }
+        for name, values in columns.items():
+            _require_finite(values, name)
+        for name, values in columns.items():
+            self.stats[name].observe_many(values)
+
     def observe_completion(
         self, wait: float, stretch: float, slowdown: float
     ) -> None:
-        self.stats["stretch"].observe(stretch)
-        self.stats["wait"].observe(wait)
-        self.stats["slowdown"].observe(slowdown)
+        self.replay((wait,), (stretch,), (slowdown,), ())
 
     def observe_waste(self, node_seconds: float) -> None:
-        self.stats["wasted_node_seconds"].observe(node_seconds)
+        self.replay((), (), (), (node_seconds,))
 
     def to_dict(self) -> dict:
         """The ``ExperimentResult.online_metrics`` payload."""

@@ -204,10 +204,12 @@ class Scheduler(abc.ABC):
     def add_finish_callback(self, cb: StartCallback) -> None:
         """Register ``cb(request, time)`` invoked whenever a request finishes.
 
-        The coordinator's online-metrics path registers here only when
-        streaming statistics are enabled, so the disabled path costs a
-        single truthiness check per finish — the same zero-overhead
-        discipline as ``tracer``/``auditor``.
+        Callbacks run in finish-event order, before the pass the
+        release enables.  The coordinator registers one here only when
+        online statistics are enabled, and it only appends the request
+        to the completion list its end-of-run replay reads; the
+        disabled path costs a single truthiness check per finish — the
+        same zero-overhead discipline as ``tracer``/``auditor``.
         """
         self._finish_callbacks.append(cb)
 
@@ -579,8 +581,8 @@ class Scheduler(abc.ABC):
         if self.auditor is not None:
             self.auditor.after_finish(self, request)
         # Notify listeners before the backfill pass the release enables:
-        # online estimators must observe the completion at its own
-        # instant, not after reentrant starts it triggered.
+        # the online completion list must record this finish in event
+        # order, not after reentrant starts it triggered.
         if self._finish_callbacks:
             now = self.sim.now
             for cb in self._finish_callbacks:
