@@ -20,7 +20,8 @@ from repro.sched.profile import Profile
 from repro.sim.engine import Simulator
 from repro.sim.events import EventPriority
 from repro.sim.rng import RngFactory
-from repro.workload.lublin import LublinGenerator, LublinParams
+from repro.workload.lublin import LublinGenerator, LublinParams, scaled_for_load
+from repro.workload.regimes import empirical_mean_nodes
 from tests.obs.stream_ref import RefP2Quantile, RefWelford
 
 
@@ -168,6 +169,23 @@ def test_perf_lublin_sampling(benchmark, scale):
         return total
 
     assert benchmark(run) > 0
+
+
+@pytest.mark.parametrize("fit", ["runtime_scale", "mean_nodes"])
+def test_perf_load_calibration(benchmark, scale, fit):
+    """One load-calibration Monte-Carlo, unmemoised: the Lublin
+    runtime-scale fit (2 x 20k jobs) or a regime's E[nodes] (20k)."""
+    if fit == "runtime_scale":
+        result = benchmark.pedantic(
+            scaled_for_load, args=(2.0, 32), rounds=3, iterations=1
+        )
+        assert result.runtime_scale > 0
+    else:
+        result = benchmark.pedantic(
+            empirical_mean_nodes, args=(LublinParams(), 32), rounds=3,
+            iterations=1,
+        )
+        assert 1.0 <= result <= 32.0
 
 
 def test_perf_full_experiment(benchmark, scale):

@@ -11,6 +11,11 @@ Timings are wall-clock and therefore noisy; the 20% default threshold
 is deliberately loose enough to absorb machine variance while still
 catching the order-of-magnitude mistakes (an accidentally quadratic
 queue scan, a cache that stopped hitting).
+
+The gate only holds between payloads measured on the same host.  When
+the two manifests disagree on any of :data:`HOST_FIELDS` (a trajectory
+point taken on a 1-CPU host against a 2-CPU one, say), the ratios are
+still printed but nothing counts as a regression.
 """
 
 from __future__ import annotations
@@ -22,6 +27,8 @@ from typing import Union
 
 #: relative slowdown above which a benchmark counts as regressed
 REGRESSION_THRESHOLD = 0.20
+#: manifest fields that identify the host a payload was measured on
+HOST_FIELDS = ("cpu_count", "python", "platform")
 
 
 def load_bench_payload(path: Union[str, Path]) -> dict:
@@ -55,6 +62,9 @@ class BenchComparison:
     rows: list[dict] = field(default_factory=list)
     #: benchmarks present in only one payload (compared as nothing)
     missing: list[str] = field(default_factory=list)
+    #: host fields on which the payloads differ, as "field old -> new";
+    #: non-empty means the timings are not comparable and nothing gates
+    host_differences: list[str] = field(default_factory=list)
 
     @property
     def regressions(self) -> list[dict]:
@@ -65,19 +75,28 @@ class BenchComparison:
         return not self.regressions
 
     def render(self) -> str:
-        lines = [
-            f"  {'benchmark':<12} {'old':>9} {'new':>9} {'delta':>8}",
-        ]
+        lines = []
+        if self.host_differences:
+            lines.append(
+                "not comparable: host differs ("
+                + "; ".join(self.host_differences) + ")"
+            )
+        lines.append(
+            f"  {'benchmark':<12} {'old':>9} {'new':>9} {'delta':>8} "
+            f"{'ratio':>7}"
+        )
         for r in self.rows:
             delta = 100.0 * (r["ratio"] - 1.0)
             flag = "  << REGRESSION" if r["regressed"] else ""
             lines.append(
                 f"  {r['name']:<12} {r['old_s']:8.2f}s {r['new_s']:8.2f}s "
-                f"{delta:+7.1f}%{flag}"
+                f"{delta:+7.1f}% {r['ratio']:6.2f}x{flag}"
             )
         for name in self.missing:
             lines.append(f"  {name:<12} (present in only one payload)")
-        if self.ok:
+        if self.host_differences:
+            lines.append("OK: ratios only; no regression gate across hosts")
+        elif self.ok:
             lines.append(
                 f"OK: no benchmark regressed by more than "
                 f"{100.0 * self.threshold:.0f}%"
@@ -96,13 +115,17 @@ def compare_payloads(
 ) -> BenchComparison:
     """Diff the ``timings_s`` of two payloads.
 
-    A benchmark regresses when ``new > old * (1 + threshold)``.
+    A benchmark regresses when ``new > old * (1 + threshold)`` and both
+    payloads come from the same host (:func:`host_differences`).
     Benchmarks appearing in only one payload are reported but never
     fail the comparison (grids legitimately gain and lose entries).
     """
     old_t = old.get("timings_s", {})
     new_t = new.get("timings_s", {})
-    comparison = BenchComparison(threshold=threshold)
+    comparison = BenchComparison(
+        threshold=threshold, host_differences=host_differences(old, new)
+    )
+    gated = not comparison.host_differences
     for name in sorted(old_t.keys() | new_t.keys()):
         if name not in old_t or name not in new_t:
             comparison.missing.append(name)
@@ -115,7 +138,23 @@ def compare_payloads(
                 "old_s": old_s,
                 "new_s": new_s,
                 "ratio": ratio,
-                "regressed": new_s > old_s * (1.0 + threshold),
+                "regressed": gated and new_s > old_s * (1.0 + threshold),
             }
         )
     return comparison
+
+
+def host_differences(old: dict, new: dict) -> list[str]:
+    """The :data:`HOST_FIELDS` on which two payloads' manifests differ.
+
+    A payload without a manifest identifies no host; it is compared as
+    if measured on the same one.
+    """
+    old_m, new_m = old.get("manifest"), new.get("manifest")
+    if not isinstance(old_m, dict) or not isinstance(new_m, dict):
+        return []
+    return [
+        f"{name} {old_m.get(name)} -> {new_m.get(name)}"
+        for name in HOST_FIELDS
+        if old_m.get(name) != new_m.get(name)
+    ]

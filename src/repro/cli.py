@@ -599,7 +599,7 @@ def cmd_bench_phase(
 
 
 def cmd_bench_compare(old_path: str, new_path: str) -> int:
-    """Diff two bench payloads; exit 1 on any >20% regression."""
+    """Diff two bench payloads; exit 1 on any >20% same-host regression."""
     from .bench import compare_payloads, load_bench_payload
 
     try:

@@ -38,7 +38,9 @@ def declared_pure(fn: _F) -> _F:
     no module/global writes, no I/O, no unkeyed randomness.  Mutating
     objects constructed *inside* the call (the simulation state a run
     builds and discards) is fine; memoisation caches
-    (``functools.lru_cache``) are treated as observationally pure.
+    (``functools.lru_cache``, the load-calibration memo
+    ``repro.core.experiment.CALIBRATIONS``) are treated as
+    observationally pure.
     """
     setattr(fn, PURITY_ATTRIBUTE, True)
     return fn

@@ -17,13 +17,14 @@ from __future__ import annotations
 import logging
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 if TYPE_CHECKING:
     from ..config import ExperimentConfig
     from ..orchestrator import Orchestrator, RunnerFn, Task
     from ..results import ExperimentResult
 
+from ..experiment import CALIBRATIONS, Calibration, CalibrationKey, calibration_table
 from ..orchestrator import TaskError
 
 _log = logging.getLogger("repro.core.executors.pool")
@@ -50,8 +51,10 @@ _WORKER_RUNNER: Optional["RunnerFn"] = None
 def _init_worker(
     configs: Sequence["ExperimentConfig"],
     runner: Optional["RunnerFn"] = None,
+    calibrations: Optional[Mapping[CalibrationKey, Calibration]] = None,
 ) -> None:
-    """Pool initializer: unpickle the unique-config table once per worker."""
+    """Pool initializer: install the unique-config table and the
+    parent's load calibrations once per worker."""
     global _WORKER_CONFIGS, _WORKER_RUNNER
     # repro-lint: disable=PAR001 -- the pool initializer installs the
     # per-process config table exactly once, before any task runs; this
@@ -59,6 +62,8 @@ def _init_worker(
     _WORKER_CONFIGS = configs
     # repro-lint: disable=PAR001 -- same single-shot initializer install
     _WORKER_RUNNER = runner
+    if calibrations:
+        CALIBRATIONS.install(calibrations)
     # Spawned workers inherit no handler state; mirror the parent's
     # logging setup from the environment (deferred import: obs imports
     # core at its own import time).
@@ -108,16 +113,22 @@ class PoolExecutor:
         if n_tasks == 0:
             return
         n_workers = min(self.n_workers, n_tasks)
+        # Fit the pending tasks' load calibrations once, here, rather
+        # than once per worker; the initializer ships them with the
+        # configs (fork inheritance alone would miss spawn/forkserver).
+        unique = orchestrator.unique
+        calibrations = calibration_table(
+            (unique[ci], rep) for chunk in chunks.values() for ci, rep in chunk
+        )
         for attempt in (0, 1):
             try:
                 self._drain_pool(
-                    orchestrator, chunks, n_workers,
+                    orchestrator, chunks, n_workers, calibrations,
                     allow_chunk_retry=(attempt == 0),
                 )
                 return
             except _PoolBroken as broken:
                 ci, rep = broken.suspects[0]
-                unique = orchestrator.unique
                 stats = orchestrator.stats
                 _log.warning(
                     "worker pool crashed with %d task(s) in flight "
@@ -146,6 +157,7 @@ class PoolExecutor:
         orchestrator: "Orchestrator",
         chunks: dict[int, list["Task"]],
         n_workers: int,
+        calibrations: Mapping[CalibrationKey, Calibration],
         allow_chunk_retry: bool,
     ) -> None:
         """Run ``chunks`` on one pool, removing each as it completes.
@@ -159,7 +171,9 @@ class PoolExecutor:
         with ProcessPoolExecutor(
             max_workers=n_workers,
             initializer=_init_worker,
-            initargs=(tuple(orchestrator.unique), orchestrator.runner),
+            initargs=(
+                tuple(orchestrator.unique), orchestrator.runner, calibrations,
+            ),
         ) as pool:
             backlog = iter(list(chunks.items()))
             in_flight: dict[Future, tuple[int, list["Task"]]] = {}

@@ -17,8 +17,11 @@ from __future__ import annotations
 # repro-lint: disable-file=DET001 -- perf_counter here only stamps the
 # generate/simulate/online/aggregate phase timings (wall_time_s
 # metrics); no host time ever reaches the simulated trajectory
+import threading
 import time
-from typing import TYPE_CHECKING, Optional
+from collections import OrderedDict
+from functools import lru_cache
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Optional, Union, cast
 
 import numpy as np
 
@@ -32,24 +35,94 @@ from ..contracts import declared_pure
 from ..faults import FaultInjector
 from ..sim.engine import Simulator
 from ..sim.rng import RngFactory
-from functools import lru_cache
-
+from ..workload import regimes
 from ..workload.estimates import make_estimate_model
 from ..workload.lublin import LublinParams, scaled_for_load
-from ..workload.regimes import (
-    ServiceRegime,
-    make_service_regime,
-    regime_scaled_for_load,
-)
-
-
-@lru_cache(maxsize=128)
-def _calibrated_params(
-    base: LublinParams, reference_nodes: int, rho: float
-) -> LublinParams:
-    """Memoised load calibration (the Monte-Carlo fit is deterministic)."""
-    return scaled_for_load(rho, reference_nodes, base)
 from ..workload.stream import StreamJob, generate_platform_streams, merge_streams
+from .config import ExperimentConfig
+from .coordinator import Coordinator, RedundantJob
+from .results import ClusterOutcome, ExperimentResult, JobOutcome
+from .schemes import TargetSelector, geometric_bias_weights, get_scheme
+
+
+#: a fitted calibration: Lublin params, or a mean node count
+Calibration = Union[LublinParams, float]
+
+
+class CalibrationKey(NamedTuple):
+    """One load-calibration fit and every input it depends on."""
+
+    #: ``"lublin"``: the ``runtime_scale`` fit of :func:`scaled_for_load`;
+    #: ``"nodes"``: the mean node count a service regime is scaled by
+    kind: str
+    base: LublinParams
+    reference_nodes: int
+    #: target offered load (``"lublin"`` only)
+    rho: Optional[float] = None
+
+
+class CalibrationMemo:
+    """Bounded, keyed memo of the load-calibration Monte-Carlo fits.
+
+    Each fit draws from a pinned stream, so its value is a pure function
+    of its :class:`CalibrationKey` — observationally pure, like
+    ``functools.lru_cache`` — and a table computed in one process is
+    valid in any other.  The process pool relies on that: it fits the
+    calibrations of a grid's pending tasks once in the parent
+    (:func:`calibration_table`) and installs them in every worker
+    (:meth:`install`).  At most ``maxsize`` keys are kept, least
+    recently used first out.
+    """
+
+    def __init__(self, maxsize: int) -> None:
+        self.maxsize = maxsize
+        self._table: OrderedDict[CalibrationKey, Calibration] = OrderedDict()
+        # service workers run tasks on threads that share this memo
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._table)
+
+    def get(self, key: CalibrationKey) -> Optional[Calibration]:
+        with self._lock:
+            value = self._table.get(key)
+            if value is not None:
+                self._table.move_to_end(key)
+            return value
+
+    def put(self, key: CalibrationKey, value: Calibration) -> None:
+        with self._lock:
+            self._table[key] = value
+            self._table.move_to_end(key)
+            while len(self._table) > self.maxsize:
+                self._table.popitem(last=False)
+
+    def install(self, table: Mapping[CalibrationKey, Calibration]) -> None:
+        """Adopt calibrations fitted elsewhere (a pool worker's parent)."""
+        for key, value in table.items():
+            self.put(key, value)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._table.clear()
+
+
+#: this process's load calibrations (pool workers get the parent's)
+CALIBRATIONS = CalibrationMemo(maxsize=128)
+
+
+def _calibration(key: CalibrationKey) -> Calibration:
+    """The memoised fit for ``key``, run here on a miss."""
+    value = CALIBRATIONS.get(key)
+    if value is None:
+        if key.kind == "lublin":
+            assert key.rho is not None
+            value = scaled_for_load(key.rho, key.reference_nodes, key.base)
+        else:
+            value = regimes.empirical_mean_nodes(key.base, key.reference_nodes)
+        CALIBRATIONS.put(key, value)
+    return value
 
 
 @lru_cache(maxsize=32)
@@ -61,7 +134,7 @@ def _cached_streams(
     params: "tuple[LublinParams, ...]",
     estimates: str,
     adoption_probability: float,
-    regime: Optional[ServiceRegime] = None,
+    regime: Optional[regimes.ServiceRegime] = None,
 ) -> "tuple[list[StreamJob], ...]":
     """Memoised per-replication workload streams.
 
@@ -93,10 +166,6 @@ def _cached_streams(
             regime=regime,
         )
     )
-from .config import ExperimentConfig
-from .coordinator import Coordinator, RedundantJob
-from .results import ClusterOutcome, ExperimentResult, JobOutcome
-from .schemes import TargetSelector, geometric_bias_weights, get_scheme
 
 
 def _resolve_node_counts(
@@ -113,25 +182,69 @@ def _resolve_node_counts(
     return list(config.nodes_per_cluster)
 
 
-def _resolve_regime(
-    config: ExperimentConfig, node_counts: list[int]
-) -> Optional[ServiceRegime]:
-    """Resolve and load-calibrate the config's service regime (if any).
-
-    Calibration targets the homogeneous reference cluster (the mean
-    node count, matching the Lublin calibration's reference); on
-    heterogeneous platforms per-cluster arrival rates still vary, so —
-    as with Lublin — ``offered_load`` is the *reference* load there.
-    """
-    regime = make_service_regime(config.service_regime)
-    if regime is None or config.offered_load is None:
-        return regime
+def _base_params(config: ExperimentConfig) -> LublinParams:
     base = LublinParams()
     if config.mean_interarrival is not None:
         base = base.with_mean_interarrival(config.mean_interarrival)
+    return base
+
+
+def _calibration_key(
+    config: ExperimentConfig,
+    node_counts: list[int],
+    regime: Optional[regimes.ServiceRegime],
+) -> Optional[CalibrationKey]:
+    """The one load calibration a run of ``config`` needs, if any.
+
+    Without a service regime that is Lublin's ``runtime_scale`` fit.  A
+    regime replaces the runtime marginal, so ``runtime_scale`` is inert
+    and the regime is scaled by the Lublin mean node count instead.
+    Both fits target the homogeneous reference cluster (the mean node
+    count); on heterogeneous platforms per-cluster arrival rates still
+    vary, so ``offered_load`` is the *reference* load there.
+    """
+    if config.offered_load is None:
+        return None
     reference_nodes = int(round(np.mean(node_counts)))
-    return regime_scaled_for_load(
-        regime, config.offered_load, reference_nodes, base
+    if regime is None:
+        return CalibrationKey(
+            "lublin", _base_params(config), reference_nodes,
+            config.offered_load,
+        )
+    return CalibrationKey("nodes", _base_params(config), reference_nodes)
+
+
+def calibration_table(
+    tasks: Iterable[tuple[ExperimentConfig, int]],
+) -> dict[CalibrationKey, Calibration]:
+    """Fit, through :data:`CALIBRATIONS`, what these ``(config,
+    replication)`` runs need; return the fits as a table to install."""
+    table: dict[CalibrationKey, Calibration] = {}
+    for config, replication in tasks:
+        node_counts = _resolve_node_counts(
+            config, RngFactory(config.seed), replication
+        )
+        key = _calibration_key(
+            config, node_counts,
+            regimes.make_service_regime(config.service_regime),
+        )
+        if key is not None and key not in table:
+            table[key] = _calibration(key)
+    return table
+
+
+def _resolve_regime(
+    config: ExperimentConfig, node_counts: list[int]
+) -> Optional[regimes.ServiceRegime]:
+    """Resolve and load-calibrate the config's service regime (if any)."""
+    regime = regimes.make_service_regime(config.service_regime)
+    key = _calibration_key(config, node_counts, regime)
+    if regime is None or key is None:
+        return regime
+    assert config.offered_load is not None
+    return regimes.regime_scaled_for_load(
+        regime, config.offered_load, key.reference_nodes, key.base,
+        mean_nodes=cast(float, _calibration(key)),
     )
 
 
@@ -142,15 +255,12 @@ def _resolve_workload_params(
     node_counts: list[int],
     calibrate_load: bool = True,
 ) -> list[LublinParams]:
-    base = LublinParams()
-    if config.mean_interarrival is not None:
-        base = base.with_mean_interarrival(config.mean_interarrival)
-    if config.offered_load is not None and calibrate_load:
-        # Skipped when a service regime is active: the regime replaces
-        # the runtime marginal, so Lublin's runtime_scale is inert and
-        # the regime carries its own calibration (_resolve_regime).
-        reference_nodes = int(round(np.mean(node_counts)))
-        base = _calibrated_params(base, reference_nodes, config.offered_load)
+    base = _base_params(config)
+    # Skipped when a service regime is active: the regime carries its
+    # own calibration (_resolve_regime).
+    key = _calibration_key(config, node_counts, None)
+    if calibrate_load and key is not None:
+        base = cast(LublinParams, _calibration(key))
     if not config.heterogeneous:
         return [base] * config.n_clusters
     rng = factory.generator("rep", replication, "iat")

@@ -26,13 +26,13 @@ if TYPE_CHECKING:  # typing-only: obs imports core at runtime
 
 import numpy as np
 
-_log = logging.getLogger("repro.core.runner")
-
 from .cache import ResultCache
 from .config import ExperimentConfig
 from .metrics import summarize_ratios
 from .parallel import GridStats, run_grid
 from .results import ExperimentResult
+
+_log = logging.getLogger("repro.core.runner")
 
 
 def run_replications(

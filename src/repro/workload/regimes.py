@@ -22,15 +22,15 @@ independently of the node count, which makes the offered load analytic:
 
     rho = E[nodes] * E[runtime] / (mean_interarrival * max_nodes)
 
-so calibration needs one Monte-Carlo estimate of ``E[nodes]`` (memoised,
-pinned stream) and no fixed-point iteration.
+so calibration needs one Monte-Carlo estimate of ``E[nodes]`` (pinned
+stream) and no fixed-point iteration.  ``run_single`` memoises that
+estimate with the Lublin fits (:class:`repro.core.experiment.CalibrationMemo`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Optional, Union
 
 import numpy as np
@@ -156,7 +156,6 @@ class RegimeGenerator(LublinGenerator):
         return self.regime.sample(self.rng, nodes)
 
 
-@lru_cache(maxsize=32)
 def empirical_mean_nodes(params: LublinParams, max_nodes: int,
                          n: int = 20_000, seed: int = 0) -> float:
     """Monte-Carlo estimate of the Lublin mean node count (calibration)."""
@@ -174,18 +173,22 @@ def regime_scaled_for_load(
     rho: float,
     max_nodes: int,
     params: Optional[LublinParams] = None,
+    mean_nodes: Optional[float] = None,
 ) -> ServiceRegime:
     """Return the regime rescaled so the per-cluster offered load is ``rho``.
 
     Unlike Lublin calibration (where nodes and runtime are dependent and
     the clamp floor perturbs the fit), the regimes draw runtimes
     independently of job size, so the load factorises and the scale is
-    exact given ``E[nodes]``.
+    exact given ``E[nodes]``.  ``mean_nodes`` is that expectation for
+    ``(params, max_nodes)``; it is estimated with
+    :func:`empirical_mean_nodes` when not given.
     """
     if rho <= 0:
         raise ValueError(f"rho must be positive, got {rho}")
     params = params or LublinParams()
-    mean_nodes = empirical_mean_nodes(params, max_nodes)
+    if mean_nodes is None:
+        mean_nodes = empirical_mean_nodes(params, max_nodes)
     base = regime.with_scale(1.0)
     target_mean_runtime = rho * params.mean_interarrival * max_nodes / mean_nodes
     scale = target_mean_runtime / base.mean_runtime()

@@ -9,10 +9,19 @@ from repro.bench.compare import (
     compare_payloads,
     load_bench_payload,
 )
+from repro.cli import main
 
 
 def _payload(**timings):
     return {"timings_s": timings}
+
+
+def _hosted(cpu_count, python="3.11.7", platform="Linux-x86_64", **timings):
+    return {
+        "timings_s": timings,
+        "manifest": {"cpu_count": cpu_count, "python": python,
+                     "platform": platform},
+    }
 
 
 class TestComparePayloads:
@@ -62,6 +71,49 @@ class TestComparePayloads:
         cmp = compare_payloads(_payload(serial=0.0), _payload(serial=1.0))
         assert cmp.rows[0]["ratio"] == float("inf")
         assert not cmp.ok
+
+
+class TestHostFingerprint:
+    def test_same_host_keeps_the_gate(self):
+        cmp = compare_payloads(_hosted(2, serial=10.0),
+                               _hosted(2, serial=12.5))
+        assert not cmp.host_differences
+        assert [r["name"] for r in cmp.regressions] == ["serial"]
+        assert "not comparable" not in cmp.render()
+
+    def test_other_host_reports_ratios_without_failing(self):
+        cmp = compare_payloads(_hosted(1, serial=6.84, parallel=8.64),
+                               _hosted(2, serial=12.11, parallel=6.92))
+        assert cmp.host_differences == ["cpu_count 1 -> 2"]
+        assert cmp.ok and not cmp.regressions
+        text = cmp.render()
+        assert text.splitlines()[0] == (
+            "not comparable: host differs (cpu_count 1 -> 2)"
+        )
+        assert "1.77x" in text and "0.80x" in text
+        assert "REGRESSION" not in text and "FAIL" not in text
+
+    def test_every_host_field_is_compared(self):
+        cmp = compare_payloads(
+            _hosted(2, python="3.11.7", platform="a", serial=1.0),
+            _hosted(2, python="3.12.1", platform="b", serial=9.0),
+        )
+        assert cmp.host_differences == [
+            "python 3.11.7 -> 3.12.1", "platform a -> b",
+        ]
+        assert cmp.ok
+
+    def test_cli_exit_codes(self, tmp_path, capsys):
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(_hosted(1, serial=6.84)))
+        other = tmp_path / "other_host.json"
+        other.write_text(json.dumps(_hosted(2, serial=12.11)))
+        same = tmp_path / "same_host.json"
+        same.write_text(json.dumps(_hosted(1, serial=12.11)))
+        assert main(["bench", "--compare", str(old), str(other)]) == 0
+        assert "not comparable: host differs" in capsys.readouterr().out
+        assert main(["bench", "--compare", str(old), str(same)]) == 1
+        assert "FAIL" in capsys.readouterr().out
 
 
 class TestLoadBenchPayload:

@@ -204,6 +204,94 @@ class TestInProcessStreamMemo:
         assert sorted(calls) == [0, 1]
 
 
+def calibration_configs():
+    """One config per calibration kind: Lublin on a homogeneous and on
+    a heterogeneous platform (node counts per replication), and a
+    service regime scaled by the mean node count."""
+    return [tiny(seed=41), tiny(seed=41, heterogeneous=True),
+            tiny(seed=41, service_regime="bimodal")]
+
+
+def forbid_calibration(monkeypatch):
+    """Make every load-calibration Monte-Carlo raise."""
+    from repro.workload import lublin, regimes
+
+    def fitted(*args, **kwargs):
+        raise AssertionError("calibration Monte-Carlo ran")
+
+    monkeypatch.setattr(lublin, "empirical_mean_area", fitted)
+    monkeypatch.setattr(regimes, "empirical_mean_nodes", fitted)
+
+
+class TestShippedCalibrations:
+    """Pool workers run on the parent's calibrations, never their own."""
+
+    def test_worker_runs_on_installed_table(self, monkeypatch):
+        from repro.core.executors import pool
+        from repro.core.experiment import (
+            CALIBRATIONS,
+            calibration_table,
+            run_single,
+        )
+        from repro.obs import log
+
+        configs = calibration_configs()
+        tasks = [(ci, rep) for ci in range(len(configs)) for rep in (0, 1)]
+        serial = [strip_wall(run_single(configs[ci], rep))
+                  for ci, rep in tasks]
+        CALIBRATIONS.clear()
+        table = calibration_table((configs[ci], rep) for ci, rep in tasks)
+        assert {key.kind for key in table} == {"lublin", "nodes"}
+        assert len(CALIBRATIONS) == len(table)
+        CALIBRATIONS.clear()  # a fresh worker process: nothing memoised
+
+        monkeypatch.setattr(pool, "_WORKER_CONFIGS", ())
+        monkeypatch.setattr(pool, "_WORKER_RUNNER", None)
+        monkeypatch.setattr(log, "setup_worker_logging", lambda: None)
+        pool._init_worker(tuple(configs), None, table)
+        forbid_calibration(monkeypatch)
+        out = pool._run_chunk(tasks)
+        assert [(ci, rep) for ci, rep, _ in out] == tasks
+        assert [strip_wall(r) for _, _, r in out] == serial
+
+    def test_warm_rerun_calibrates_nothing(self, monkeypatch, tmp_path):
+        from repro.core.experiment import CALIBRATIONS
+        from repro.core.parallel import run_grid
+
+        configs = calibration_configs()
+        cold = run_grid(configs, 2, n_workers=2,
+                        cache=ResultCache(tmp_path))
+        CALIBRATIONS.clear()
+        forbid_calibration(monkeypatch)
+        warm = run_grid(configs, 2, n_workers=2,
+                        cache=ResultCache(tmp_path))
+        assert len(CALIBRATIONS) == 0
+        assert warm == cold
+
+    def test_pool_grid_equals_serial(self, monkeypatch):
+        from repro.core.executors import pool
+        from repro.core.experiment import CALIBRATIONS
+        from repro.core.parallel import run_grid
+
+        configs = calibration_configs()
+        serial = run_grid(configs, 2, n_workers=1)
+        fit = pool.calibration_table
+
+        def shipped_only(tasks):
+            # Forked workers inherit nothing from the memo, as under
+            # spawn: only the initializer's table can reach them.
+            table = fit(tasks)
+            CALIBRATIONS.clear()
+            forbid_calibration(monkeypatch)
+            return table
+
+        monkeypatch.setattr(pool, "calibration_table", shipped_only)
+        pooled = run_grid(configs, 2, n_workers=2)
+        assert [[strip_wall(r) for r in per] for per in pooled] == [
+            [strip_wall(r) for r in per] for per in serial
+        ]
+
+
 class TestWorkQueueExecutor:
     def test_grid_matches_inprocess(self):
         configs = [tiny(), tiny(scheme="R2")]
