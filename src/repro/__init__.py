@@ -49,7 +49,6 @@ from .core import (
     RelativeMetrics,
     ResultCache,
     SchemeComparison,
-    SweepEngine,
     compare_schemes,
     run_grid,
     run_replications,
@@ -64,7 +63,6 @@ __all__ = [
     "JobOutcome",
     "RelativeMetrics",
     "SchemeComparison",
-    "SweepEngine",
     "ResultCache",
     "compare_schemes",
     "run_grid",

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from ..core.config import ExperimentConfig
-from ..core.parallel import run_grid
+from ..core.orchestrator import run_grid
 from ..core.results import ExperimentResult
 from ..obs.stream import MergedOnlineMetrics
 

@@ -27,7 +27,7 @@ import numpy as np
 from ..core.cache import shared_cache
 from ..core.config import ExperimentConfig
 from ..core.metrics import mean_of_ratios
-from ..core.parallel import resolve_workers, run_grid
+from ..core.orchestrator import resolve_workers, run_grid
 from ..core.runner import SchemeComparison, compare_schemes, run_replications
 from ..core.schemes import PAPER_SCHEME_ORDER
 from ..faults import FaultConfig

@@ -54,7 +54,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .analysis.registry import REGISTRY, SCALES, run_experiment
-from .core.parallel import resolve_workers
+from .core.orchestrator import resolve_workers
 from .obs.log import get_logger, setup_logging
 from .obs.trace import EVENT_TYPES
 
@@ -599,7 +599,8 @@ def cmd_bench_phase(
 
 
 def cmd_bench_compare(old_path: str, new_path: str) -> int:
-    """Diff two bench payloads; exit 1 on any >20% same-host regression."""
+    """Diff two bench payloads; exit 1 on a >20% same-host, same-grid
+    regression."""
     from .bench import compare_payloads, load_bench_payload
 
     try:
@@ -667,7 +668,7 @@ def cmd_bench(
     import tempfile
 
     from .core.cache import ResultCache
-    from .core.parallel import GridStats
+    from .core.orchestrator import GridStats
     from .core.runner import compare_schemes
     from .core.schemes import PAPER_SCHEME_ORDER
     from .obs.manifest import build_manifest
@@ -842,7 +843,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
     if args.trace_command == "record":
         from .core.config import ExperimentConfig
-        from .obs.trace import MANIFEST_FILENAME, TRACE_FILENAME, record_sweep
+        from .obs.manifest import MANIFEST_FILENAME
+        from .obs.trace import TRACE_FILENAME, record_sweep
 
         try:
             workers = resolve_workers(args.workers, source="--workers")
@@ -920,9 +922,8 @@ def cmd_probe(args: argparse.Namespace) -> int:
 
     if args.probe_command == "record":
         from .core.config import ExperimentConfig
-        from .obs.probes import (
-            MANIFEST_FILENAME, PROBES_FILENAME, record_probe_sweep,
-        )
+        from .obs.manifest import MANIFEST_FILENAME
+        from .obs.probes import PROBES_FILENAME, record_probe_sweep
 
         try:
             workers = resolve_workers(args.workers, source="--workers")

@@ -1,4 +1,4 @@
-"""In-process executor: the serial fast path, extracted.
+"""In-process executor: the serial fast path.
 
 Semantics are pinned by ``tests/core/test_parallel_failures.py``: each
 task is retried once in place (transient failures), a second failure
@@ -13,21 +13,9 @@ import logging
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
-    from ..orchestrator import Orchestrator, RunnerFn
+    from ..orchestrator import Orchestrator
 
 _log = logging.getLogger("repro.core.executors.inprocess")
-
-
-def _default_runner() -> "RunnerFn":
-    """Late-bind ``run_single`` through the façade module.
-
-    Tests monkeypatch ``repro.core.parallel.run_single``; resolving the
-    attribute at call time (not import time) keeps that working across
-    the orchestrator/executor split.
-    """
-    from .. import parallel
-
-    return parallel.run_single
 
 
 class InProcessExecutor:
@@ -41,11 +29,7 @@ class InProcessExecutor:
         for _cid, chunk in orchestrator.pending_chunks().items():
             for ui, rep in chunk:
                 orchestrator.check_cancelled()
-                fn = (
-                    orchestrator.runner
-                    if orchestrator.runner is not None
-                    else _default_runner()
-                )
+                fn = orchestrator.runner
                 try:
                     result = fn(unique[ui], rep)
                 except Exception as first:

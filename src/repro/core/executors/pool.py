@@ -1,7 +1,7 @@
 """Process-pool executor: one persistent pool for the whole grid.
 
-Extracted from ``core/parallel.py``; failure handling is pinned by
-``tests/core/test_parallel_failures.py`` and comes in two tiers:
+Failure handling is pinned by ``tests/core/test_parallel_failures.py``
+and comes in two tiers:
 
 * a task raising inside a worker surfaces as
   :class:`~repro.core.orchestrator.TaskError`; its chunk is retried
@@ -50,11 +50,12 @@ _WORKER_RUNNER: Optional["RunnerFn"] = None
 
 def _init_worker(
     configs: Sequence["ExperimentConfig"],
-    runner: Optional["RunnerFn"] = None,
+    runner: "RunnerFn",
     calibrations: Optional[Mapping[CalibrationKey, Calibration]] = None,
 ) -> None:
-    """Pool initializer: install the unique-config table and the
-    parent's load calibrations once per worker."""
+    """Pool initializer: install the unique-config table, the
+    orchestrator's runner and the parent's load calibrations once per
+    worker."""
     global _WORKER_CONFIGS, _WORKER_RUNNER
     # repro-lint: disable=PAR001 -- the pool initializer installs the
     # per-process config table exactly once, before any task runs; this
@@ -81,12 +82,8 @@ def _run_chunk(
     learns *which* ``(config, replication)`` failed, not just that
     something somewhere in the chunk raised.
     """
-    if _WORKER_RUNNER is not None:
-        fn = _WORKER_RUNNER
-    else:
-        from ..experiment import run_single
-
-        fn = run_single
+    fn = _WORKER_RUNNER
+    assert fn is not None, "pool worker used before _init_worker"
     out = []
     for ci, rep in tasks:
         cfg = _WORKER_CONFIGS[ci]

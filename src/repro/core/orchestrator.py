@@ -1,15 +1,14 @@
 """Sweep orchestrator: owns the task grid; executors own the running.
 
-The engine in :mod:`repro.core.parallel` used to be one function that
-both *planned* a sweep (dedup, cache resolution, chunking, reassembly)
-and *executed* it (serial loop or process pool).  This module extracts
-the planning half into an :class:`Orchestrator` so execution becomes a
-pluggable strategy (:mod:`repro.core.executors`): the same orchestrator
-state drives the in-process path, the process pool, and the HTTP
-work-queue behind ``repro serve`` — and, because every completed task
-is recorded through one :meth:`Orchestrator.record` path, progress,
-caching, journaling and deterministic reassembly behave identically no
-matter who did the computing.
+:func:`run_grid` is the one way into the sweep engine: every grid of
+``(config, replication)`` simulations, plain, traced or probed, is
+planned here by an :class:`Orchestrator` and run by a pluggable
+strategy (:mod:`repro.core.executors`): the same orchestrator state
+drives the in-process path, the process pool, and the HTTP work-queue
+behind ``repro serve`` — and, because every completed task is recorded
+through one :meth:`Orchestrator.record` path, progress, caching,
+journaling and deterministic reassembly behave identically no matter
+who did the computing.
 
 Responsibilities, in execution order:
 
@@ -45,7 +44,7 @@ import logging
 import math
 import threading
 import time
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
 if TYPE_CHECKING:  # typing-only: obs imports core at runtime
     from ..obs.manifest import RunJournal
@@ -54,6 +53,7 @@ if TYPE_CHECKING:  # typing-only: obs imports core at runtime
 
 from .cache import ResultCache, config_fingerprint
 from .config import ExperimentConfig
+from .experiment import run_single
 from .results import ExperimentResult
 
 _log = logging.getLogger("repro.core.orchestrator")
@@ -289,7 +289,9 @@ class Orchestrator:
         self.chunksize = chunksize
         self.n_workers = max(1, int(n_workers))
         self.progress = progress
-        self.runner = runner
+        # Resolved per instance, not as a default argument: tracers and
+        # tests swap this module's ``run_single`` after import.
+        self.runner: RunnerFn = runner if runner is not None else run_single
         self.stats = stats
         self.metrics = metrics
         self.journal = journal
@@ -550,3 +552,93 @@ class Orchestrator:
         """Raise :class:`SweepCancelled` if cancellation was requested."""
         if self.abort.is_set():
             raise SweepCancelled("sweep cancelled")
+
+
+def resolve_workers(
+    value: Union[str, int, None], source: str = "workers"
+) -> int:
+    """Normalise a worker-count setting from the CLI or environment.
+
+    ``None`` and empty/whitespace strings mean 1 (serial).  Anything
+    else must parse as an integer >= 1; garbage and non-positive counts
+    raise ``ValueError`` naming ``source`` instead of being silently
+    clamped (``REPRO_WORKERS=0`` used to mean serial by accident).
+    """
+    if value is None:
+        return 1
+    if isinstance(value, str):
+        value = value.strip()
+        if not value:
+            return 1
+    try:
+        n = int(value)
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"{source} must be an integer >= 1, got {value!r}"
+        ) from None
+    if n < 1:
+        raise ValueError(f"{source} must be >= 1, got {n}")
+    return n
+
+
+def run_grid(
+    configs: Sequence[ExperimentConfig],
+    n_replications: int,
+    n_workers: int = 1,
+    first_replication: int = 0,
+    cache: Optional[ResultCache] = None,
+    chunksize: Optional[int] = None,
+    progress: Optional[ProgressFn] = None,
+    runner: Optional[RunnerFn] = None,
+    stats: Optional[GridStats] = None,
+    metrics: Optional[MetricsRegistry] = None,
+) -> list[list[ExperimentResult]]:
+    """Run every config for every replication; return results per config.
+
+    The whole grid — every config (including the NONE baseline) times
+    every replication — is flattened into one task list, deduplicated,
+    cache-resolved, chunked onto one executor, and reassembled
+    bit-identically to a serial run regardless of worker scheduling.
+    The returned list is parallel to ``configs``; each inner list holds
+    ``n_replications`` results ordered by replication index.  Duplicate
+    configs are simulated once and their result lists shared by value.
+
+    A failing task is retried once (transient failures, crashed
+    workers); a second failure raises :class:`TaskError` naming the
+    ``(config, replication)``.  ``stats`` collects failure/retry
+    counts.  ``runner`` substitutes the per-task function (it must be a
+    picklable top-level callable; used by tests and benchmarks).
+
+    ``metrics`` optionally receives engine accounting — an
+    :class:`~repro.obs.metrics.MetricsRegistry` (or anything with its
+    ``inc``/``add_time``): cache hit/miss counters, tasks executed, and
+    wall-clock spent resolving/storing cache entries.
+    """
+    # Deferred: the pool executor imports this module at its top.
+    from .executors import InProcessExecutor, PoolExecutor
+
+    if not configs:
+        if n_replications < 1:
+            raise ValueError(f"need >= 1 replication, got {n_replications}")
+        return []
+    orchestrator = Orchestrator(
+        configs,
+        n_replications,
+        first_replication=first_replication,
+        cache=cache,
+        chunksize=chunksize,
+        n_workers=n_workers,
+        progress=progress,
+        runner=runner,
+        stats=stats,
+        metrics=metrics,
+    )
+    orchestrator.prepare()
+    pending = orchestrator.n_pending
+    if pending == 0:
+        return orchestrator.assemble()
+    if n_workers <= 1 or pending == 1:
+        executor: InProcessExecutor | PoolExecutor = InProcessExecutor()
+    else:
+        executor = PoolExecutor(n_workers=n_workers)
+    return orchestrator.execute(executor)

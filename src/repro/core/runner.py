@@ -7,9 +7,9 @@ job streams of replication r are identical across schemes (common
 random numbers, see :mod:`repro.workload.stream`).
 
 Replications are embarrassingly parallel.  All sweeps here flatten
-their full (config x replication) grid through the engine in
-:mod:`repro.core.parallel`: one process pool for the whole grid, tasks
-chunked as ``(config_index, replication)`` integer pairs (the configs
+their full (config x replication) grid through
+:func:`~repro.core.orchestrator.run_grid`: one process pool for the
+whole grid, tasks chunked as ``(config_index, replication)`` integer pairs (the configs
 travel once via the pool initializer — nothing is materialised per
 task), optional result caching, and deterministic reassembly so
 ``n_workers > 1`` is bit-identical to serial.
@@ -29,7 +29,7 @@ import numpy as np
 from .cache import ResultCache
 from .config import ExperimentConfig
 from .metrics import summarize_ratios
-from .parallel import GridStats, run_grid
+from .orchestrator import GridStats, run_grid
 from .results import ExperimentResult
 
 _log = logging.getLogger("repro.core.runner")
@@ -199,7 +199,7 @@ def compare_schemes(
     across the pool instead of synchronising per scheme.  ``progress``
     receives a short message per grid entry (hook for CLI/bench
     reporting); ``metrics`` receives the engine's cache/task accounting
-    (see :func:`~repro.core.parallel.run_grid`).
+    (see :func:`~repro.core.orchestrator.run_grid`).
     """
     def note(msg: str) -> None:
         if progress is not None:

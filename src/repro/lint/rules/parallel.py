@@ -1,9 +1,10 @@
 """PAR001: module-level state mutated inside functions.
 
-The sweep engine (:mod:`repro.core.parallel`) dispatches task chunks to
-*spawned* worker processes: module globals mutated at call time are
-per-process, invisible to the parent, and make results depend on which
-worker ran which chunk.  The rule flags both flavours of the hazard:
+The sweep engine (:func:`repro.core.orchestrator.run_grid`) dispatches
+task chunks to *spawned* worker processes: module globals mutated at
+call time are per-process, invisible to the parent, and make results
+depend on which worker ran which chunk.  The rule flags both flavours
+of the hazard:
 
 * rebinding a module-level name through a ``global`` statement, and
 * in-place mutation (method call, subscript/augmented assignment) of a

@@ -38,7 +38,7 @@ if TYPE_CHECKING:
 REQUIRED_PURE = (
     "repro.core.cache.config_fingerprint",
     "repro.core.experiment.run_single",
-    "repro.obs.trace._dumps",
+    "repro.obs.manifest._dumps",
     "repro.service.jobs.canonical_grid_json",
     "repro.service.jobs.canonical_grid_payload",
 )

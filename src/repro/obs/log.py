@@ -33,7 +33,8 @@ _ROOT = "repro"
 def get_logger(name: str = "") -> logging.Logger:
     """A logger under the shared ``repro`` namespace.
 
-    ``get_logger("core.parallel")`` returns ``repro.core.parallel``;
+    ``get_logger("core.orchestrator")`` returns
+    ``repro.core.orchestrator``;
     an empty name returns the package root logger.
     """
     return logging.getLogger(f"{_ROOT}.{name}" if name else _ROOT)

@@ -1,4 +1,4 @@
-"""Run manifests: everything needed to reproduce a sweep from its artifact.
+"""Sweep artifacts: run manifests, the run journal, JSONL recordings.
 
 A manifest answers, months later, "what exactly produced this trace /
 bench payload?": the content-addressed fingerprint of every config, the
@@ -7,6 +7,11 @@ versions, the platform it ran on, and how long it took.  Together with
 the determinism guarantees of the sweep engine (results and traces are
 pure functions of ``(config, replication)``), a manifest plus the repo
 at the recorded version regenerates the artifact bit-for-bit.
+
+Traced and probed sweeps share one artifact layout, written by
+:func:`record_jsonl_sweep`: a schema-versioned JSONL file (header line,
+then one canonical record per line, via :func:`write_jsonl` /
+:func:`read_jsonl`) beside ``manifest.json``.
 """
 
 from __future__ import annotations
@@ -19,10 +24,15 @@ import threading
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, Union
 
+import numpy as np
+
+from ..contracts import declared_pure
 from ..core.cache import CACHE_SCHEMA_VERSION, config_fingerprint
 from ..core.config import ExperimentConfig
+from ..core.orchestrator import GridStats, run_grid
+from ..core.results import ExperimentResult
 from .stream import ONLINE_SCHEMA_VERSION
 
 #: bump when the manifest layout changes incompatibly
@@ -30,6 +40,9 @@ from .stream import ONLINE_SCHEMA_VERSION
 #:  Welford/P² statistics, and an auditable replay must know which
 #:  payload layout was in force)
 MANIFEST_SCHEMA_VERSION = 2
+
+#: canonical manifest file name inside a recording directory
+MANIFEST_FILENAME = "manifest.json"
 
 #: one-line statement of how every random stream is derived; recorded
 #: verbatim so an artifact is interpretable without reading the code
@@ -63,6 +76,8 @@ class RunManifest:
     grid_stats: dict = field(default_factory=dict)
     command: Optional[list[str]] = None
     extra: dict = field(default_factory=dict)
+    #: numpy version (``None`` in manifests written before it was kept)
+    numpy: Optional[str] = None
 
     # -- serialisation ---------------------------------------------------
 
@@ -204,4 +219,165 @@ def build_manifest(
         grid_stats=dict(grid_stats) if grid_stats is not None else {},
         command=command,
         extra=dict(extra) if extra is not None else {},
+        numpy=np.__version__,
     )
+
+
+# -- JSONL recordings -----------------------------------------------------
+
+
+@declared_pure
+def _dumps(payload: dict) -> str:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def write_jsonl(
+    path: Union[str, Path],
+    kind: str,
+    schema: int,
+    header: dict,
+    records: Iterable[dict],
+) -> int:
+    """Write a schema-versioned JSONL artifact; returns the record count.
+
+    Line 1 is the header (always carrying ``kind``/``schema``); every
+    further line is one record.  Output is canonical (sorted keys,
+    compact separators) so identical records produce identical bytes.
+    """
+    header = {"kind": kind, "schema": schema, **header}
+    count = 0
+    with open(Path(path), "w", encoding="utf-8") as fh:
+        fh.write(_dumps(header) + "\n")
+        for record in records:
+            fh.write(_dumps(record) + "\n")
+            count += 1
+    return count
+
+
+def read_jsonl(
+    path: Union[str, Path], kind: str, schema: int, noun: str
+) -> tuple[dict, list[dict]]:
+    """Load a JSONL artifact written by :func:`write_jsonl`.
+
+    Returns ``(header, records)``.  Raises ``ValueError`` (naming the
+    artifact by ``noun``) on an empty file, a missing/foreign header or
+    an unsupported schema version — interchange artifacts fail loudly
+    rather than be misinterpreted.
+    """
+    path = Path(path)
+    with open(path, "r", encoding="utf-8") as fh:
+        first = fh.readline()
+        if not first.strip():
+            raise ValueError(f"{path}: empty {noun} file")
+        header = json.loads(first)
+        if not isinstance(header, dict) or header.get("kind") != kind:
+            raise ValueError(f"{path}: not a repro {noun} (bad header)")
+        if header.get("schema") != schema:
+            raise ValueError(
+                f"{path}: unsupported {noun} schema {header.get('schema')!r} "
+                f"(this build reads {schema})"
+            )
+        records = [json.loads(line) for line in fh if line.strip()]
+    return header, records
+
+
+#: turns one task's runner output into JSONL records:
+#: ``rows(run, config_index, replication, scheme)``
+RowsFn = Callable[[Any, int, int, str], Iterable[dict]]
+
+
+def record_jsonl_sweep(
+    configs: Sequence[ExperimentConfig],
+    n_replications: int,
+    out_dir: Union[str, Path],
+    *,
+    runner: Callable[[ExperimentConfig, int], Any],
+    rows: RowsFn,
+    kind: str,
+    schema: int,
+    filename: str,
+    count_key: str,
+    file_key: str,
+    header: Optional[dict] = None,
+    extra: Optional[dict] = None,
+    n_workers: int = 1,
+    first_replication: int = 0,
+    chunksize: Optional[int] = None,
+    progress: Optional[Callable[[str], None]] = None,
+    stats: Optional[GridStats] = None,
+    command: Optional[Sequence[str]] = None,
+) -> tuple[list[list[ExperimentResult]], RunManifest]:
+    """Run a recorded sweep; write ``filename`` + ``manifest.json``.
+
+    The grid runs through :func:`~repro.core.orchestrator.run_grid`
+    (chunking, retry, crash recovery all apply) with ``runner``
+    substituted and caching off: a cached result has no recording to
+    contribute.  ``runner`` returns a payload with the run's
+    ``.result``; ``rows`` turns it into records, which are written in
+    ``(config, replication)`` order regardless of worker scheduling, so
+    the file is byte-identical for any ``n_workers``.  Duplicate configs
+    are recorded once, under their first index.
+
+    The JSONL header and the manifest's ``extra`` carry ``header`` and
+    ``extra`` respectively, plus the record count under ``count_key``
+    and the file name under ``file_key``.  Returns the unwrapped results
+    (parallel to ``configs``) and the manifest.
+    """
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    unique = list(dict.fromkeys(configs))
+    stats = stats if stats is not None else GridStats()
+    t0 = time.perf_counter()
+    runs = run_grid(
+        unique,
+        n_replications,
+        n_workers=n_workers,
+        first_replication=first_replication,
+        cache=None,
+        chunksize=chunksize,
+        progress=progress,
+        runner=runner,
+        stats=stats,
+    )
+    wall = time.perf_counter() - t0
+    reps = range(first_replication, first_replication + n_replications)
+
+    def iter_records() -> Iterator[dict]:
+        for ui, cfg in enumerate(unique):
+            for run, rep in zip(runs[ui], reps):
+                yield from rows(run, ui, rep, cfg.scheme)
+
+    n_records = write_jsonl(
+        out_dir / filename,
+        kind,
+        schema,
+        {
+            **(header or {}),
+            "configs": [
+                {
+                    "index": ui,
+                    "scheme": cfg.scheme,
+                    "describe": cfg.describe(),
+                    "fingerprint": config_fingerprint(cfg),
+                }
+                for ui, cfg in enumerate(unique)
+            ],
+            "n_replications": n_replications,
+            "first_replication": first_replication,
+        },
+        iter_records(),
+    )
+    manifest = build_manifest(
+        unique,
+        n_replications=n_replications,
+        first_replication=first_replication,
+        n_workers=n_workers,
+        wall_time_s=wall,
+        grid_stats=stats.as_dict(),
+        command=list(command) if command is not None else None,
+        extra={count_key: n_records, file_key: filename, **(extra or {})},
+    )
+    manifest.write(out_dir / MANIFEST_FILENAME)
+
+    slot = {cfg: ui for ui, cfg in enumerate(unique)}
+    return [[run.result for run in runs[slot[cfg]]] for cfg in configs], manifest

@@ -33,7 +33,6 @@ forever.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -54,14 +53,13 @@ if TYPE_CHECKING:  # typing-only: core imports nothing from obs at runtime
     from ..core.coordinator import Coordinator
     from ..sim.engine import Simulator
 
-from ..core.cache import config_fingerprint
 from ..core.config import ExperimentConfig
 from ..core.experiment import run_single
-from ..core.parallel import GridStats, run_grid
+from ..core.orchestrator import GridStats
 from ..core.results import ExperimentResult
 from ..sched.job import RequestState, reset_request_ids
 from ..sim.events import EventPriority
-from .manifest import RunManifest, build_manifest
+from .manifest import RunManifest, read_jsonl, record_jsonl_sweep, write_jsonl
 from .stream import ONLINE_ESTIMATORS, ONLINE_QUANTILES, ONLINE_SCHEMA_VERSION
 
 #: bump whenever the row tuple shape or JSONL line schema changes
@@ -71,9 +69,11 @@ PROBE_SCHEMA_VERSION = 1
 #: window at 60 s cadence is 360 rows per cluster — cheap and legible)
 DEFAULT_PROBE_CADENCE = 60.0
 
-#: canonical probe / manifest file names inside a recording directory
+#: header ``kind`` of a probe JSONL file
+PROBES_KIND = "repro-probes"
+
+#: canonical probe file name inside a recording directory
 PROBES_FILENAME = "probes.jsonl"
-MANIFEST_FILENAME = "manifest.json"
 
 #: per-cluster row: (t, cluster, queue_depth, busy_nodes, total_nodes)
 ClusterRow = "tuple[float, int, int, int, int]"
@@ -228,8 +228,13 @@ def _kernel_record(
     }
 
 
-def _dumps(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+def _probe_rows(
+    run: ProbedRun, config_index: int, replication: int, scheme: str
+) -> Iterator[dict]:
+    for crow in run.cluster_rows:
+        yield _cluster_record(crow, config_index, replication, scheme)
+    for krow in run.kernel_rows:
+        yield _kernel_record(krow, config_index, replication, scheme)
 
 
 def write_probes(
@@ -240,42 +245,19 @@ def write_probes(
     """Write a schema-versioned probe JSONL; returns the record count.
 
     Line 1 is the header (always carrying ``kind``/``schema``); every
-    further line is one sample record.  Output is canonical (sorted
-    keys, compact separators) so identical samples produce identical
-    bytes — the substrate of the worker-count-invariance guarantee.
+    further line is one sample record, canonically encoded — the
+    substrate of the worker-count-invariance guarantee.
     """
-    header = {"kind": "repro-probes", "schema": PROBE_SCHEMA_VERSION, **header}
-    count = 0
-    path = Path(path)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_dumps(header) + "\n")
-        for record in records:
-            fh.write(_dumps(record) + "\n")
-            count += 1
-    return count
+    return write_jsonl(path, PROBES_KIND, PROBE_SCHEMA_VERSION, header, records)
 
 
 def read_probes(path: Union[str, Path]) -> tuple[dict, list[dict]]:
     """Load a probe JSONL; returns ``(header, records)``.
 
     Raises ``ValueError`` on a missing/foreign header or an unsupported
-    schema version (interchange artifacts fail loudly).
+    schema version.
     """
-    path = Path(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline()
-        if not first.strip():
-            raise ValueError(f"{path}: empty probe file")
-        header = json.loads(first)
-        if not isinstance(header, dict) or header.get("kind") != "repro-probes":
-            raise ValueError(f"{path}: not a repro probe series (bad header)")
-        if header.get("schema") != PROBE_SCHEMA_VERSION:
-            raise ValueError(
-                f"{path}: unsupported probe schema {header.get('schema')!r} "
-                f"(this build reads {PROBE_SCHEMA_VERSION})"
-            )
-        records = [json.loads(line) for line in fh if line.strip()]
-    return header, records
+    return read_jsonl(path, PROBES_KIND, PROBE_SCHEMA_VERSION, "probe")
 
 
 # -- querying -------------------------------------------------------------
@@ -381,92 +363,39 @@ def record_probe_sweep(
 ) -> tuple[list[list[ExperimentResult]], RunManifest]:
     """Run a sweep with probes on; write ``probes.jsonl`` + ``manifest.json``.
 
-    The grid runs through the ordinary sweep engine (chunking, retry,
-    crash recovery all apply) with the probed runner substituted and
-    caching off — probed runs execute extra (probe) events, so their
-    results must never shadow cached unprobed ones.  Rows are written
-    in ``(config, replication)`` order regardless of worker scheduling,
-    so the JSONL is byte-identical for any ``n_workers``.
+    A :func:`~repro.obs.manifest.record_jsonl_sweep` with the probed
+    runner: caching is off (probed runs execute extra probe events, so
+    their results must never shadow cached unprobed ones), and rows are
+    written in ``(config, replication)`` order so the JSONL is
+    byte-identical for any ``n_workers``.
 
     The manifest's ``extra`` block records the probe cadence, the
     enabled estimator families and both observability schema versions,
     making a replayed recording auditable end to end.
     """
-    import time as _time
-
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    unique: list[ExperimentConfig] = []
-    slots: list[int] = []
-    index_of: dict[ExperimentConfig, int] = {}
-    for cfg in configs:
-        ui = index_of.get(cfg)
-        if ui is None:
-            ui = index_of[cfg] = len(unique)
-            unique.append(cfg)
-        slots.append(ui)
-
-    stats = stats if stats is not None else GridStats()
-    t0 = _time.perf_counter()
-    probed = run_grid(
-        unique,
+    return record_jsonl_sweep(
+        configs,
         n_replications,
-        n_workers=n_workers,
-        first_replication=first_replication,
-        cache=None,
-        chunksize=chunksize,
-        progress=progress,
+        out_dir,
         runner=partial(run_single_probed, cadence=cadence),
-        stats=stats,
-    )
-    wall = _time.perf_counter() - t0
-
-    reps = range(first_replication, first_replication + n_replications)
-
-    def iter_records() -> Iterator[dict]:
-        for ui, cfg in enumerate(unique):
-            for ri, rep in enumerate(reps):
-                run = probed[ui][ri]
-                for crow in run.cluster_rows:
-                    yield _cluster_record(crow, ui, rep, cfg.scheme)
-                for krow in run.kernel_rows:
-                    yield _kernel_record(krow, ui, rep, cfg.scheme)
-
-    header = {
-        "cadence": cadence,
-        "configs": [
-            {
-                "index": ui,
-                "scheme": cfg.scheme,
-                "describe": cfg.describe(),
-                "fingerprint": config_fingerprint(cfg),
-            }
-            for ui, cfg in enumerate(unique)
-        ],
-        "n_replications": n_replications,
-        "first_replication": first_replication,
-    }
-    n_records = write_probes(out_dir / PROBES_FILENAME, header, iter_records())
-
-    manifest = build_manifest(
-        unique,
-        n_replications=n_replications,
-        first_replication=first_replication,
-        n_workers=n_workers,
-        wall_time_s=wall,
-        grid_stats=stats.as_dict(),
-        command=list(command) if command is not None else None,
+        rows=_probe_rows,
+        kind=PROBES_KIND,
+        schema=PROBE_SCHEMA_VERSION,
+        filename=PROBES_FILENAME,
+        count_key="n_probe_records",
+        file_key="probe_file",
+        header={"cadence": cadence},
         extra={
-            "n_probe_records": n_records,
-            "probe_file": PROBES_FILENAME,
             "probe_cadence": cadence,
             "probe_schema": PROBE_SCHEMA_VERSION,
             "online_schema": ONLINE_SCHEMA_VERSION,
             "online_estimators": list(ONLINE_ESTIMATORS),
             "online_quantiles": list(ONLINE_QUANTILES),
         },
+        n_workers=n_workers,
+        first_replication=first_replication,
+        chunksize=chunksize,
+        progress=progress,
+        stats=stats,
+        command=command,
     )
-    manifest.write(out_dir / MANIFEST_FILENAME)
-
-    per_unique = [[pr.result for pr in probed[ui]] for ui in range(len(unique))]
-    return [list(per_unique[ui]) for ui in slots], manifest

@@ -26,7 +26,7 @@ O(1)-memory substrate:
   deterministic left fold over that list — is bit-identical.  Workers
   may therefore reduce partial sweeps in any grouping, as long as the
   final part order is the deterministic ``(config, replication)`` task
-  order (which :func:`~repro.core.parallel.run_grid` guarantees).
+  order (which :func:`~repro.core.orchestrator.run_grid` guarantees).
 
 Both estimators take values in batches through ``observe_many``, which
 keeps the state in locals for the whole batch (and unrolls P²'s marker

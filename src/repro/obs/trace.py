@@ -35,19 +35,16 @@ The JSONL produced with ``--workers 4`` is therefore byte-identical to
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
-from ..contracts import declared_pure
-from ..core.cache import config_fingerprint
 from ..core.config import ExperimentConfig
 from ..core.experiment import run_single
-from ..core.parallel import GridStats, run_grid
+from ..core.orchestrator import GridStats
 from ..core.results import ExperimentResult
 from ..sched.job import reset_request_ids
-from .manifest import RunManifest, build_manifest
+from .manifest import RunManifest, read_jsonl, record_jsonl_sweep, write_jsonl
 
 #: bump whenever the event tuple shape or JSONL line schema changes
 TRACE_SCHEMA_VERSION = 1
@@ -66,9 +63,11 @@ EVENT_TYPES = (
     "outage_up",
 )
 
-#: canonical trace / manifest file names inside a recording directory
+#: header ``kind`` of a trace JSONL file
+TRACE_KIND = "repro-trace"
+
+#: canonical trace file name inside a recording directory
 TRACE_FILENAME = "trace.jsonl"
-MANIFEST_FILENAME = "manifest.json"
 
 #: one recorded event: (sim_time, type, cluster, request_id, job_id);
 #: request/job are -1 for cluster-level events (outages)
@@ -166,9 +165,11 @@ def _event_record(
     }
 
 
-@declared_pure
-def _dumps(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+def _trace_rows(
+    run: TracedRun, config_index: int, replication: int, scheme: str
+) -> Iterator[dict]:
+    for event in run.events:
+        yield _event_record(event, config_index, replication, scheme)
 
 
 def write_trace(
@@ -179,43 +180,18 @@ def write_trace(
     """Write a schema-versioned JSONL trace; returns the event count.
 
     Line 1 is the header (always carrying ``kind``/``schema``); every
-    further line is one event record.  Output is canonical (sorted
-    keys, compact separators) so identical events produce identical
-    bytes.
+    further line is one event record, canonically encoded.
     """
-    header = {"kind": "repro-trace", "schema": TRACE_SCHEMA_VERSION, **header}
-    count = 0
-    path = Path(path)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_dumps(header) + "\n")
-        for record in records:
-            fh.write(_dumps(record) + "\n")
-            count += 1
-    return count
+    return write_jsonl(path, TRACE_KIND, TRACE_SCHEMA_VERSION, header, records)
 
 
 def read_trace(path: Union[str, Path]) -> tuple[dict, list[dict]]:
     """Load a JSONL trace; returns ``(header, events)``.
 
     Raises ``ValueError`` on a missing/foreign header or an unsupported
-    schema version — a trace is an interchange artifact, so failing
-    loudly beats misinterpreting someone else's JSONL.
+    schema version.
     """
-    path = Path(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline()
-        if not first.strip():
-            raise ValueError(f"{path}: empty trace file")
-        header = json.loads(first)
-        if not isinstance(header, dict) or header.get("kind") != "repro-trace":
-            raise ValueError(f"{path}: not a repro trace (bad header)")
-        if header.get("schema") != TRACE_SCHEMA_VERSION:
-            raise ValueError(
-                f"{path}: unsupported trace schema {header.get('schema')!r} "
-                f"(this build reads {TRACE_SCHEMA_VERSION})"
-            )
-        events = [json.loads(line) for line in fh if line.strip()]
-    return header, events
+    return read_jsonl(path, TRACE_KIND, TRACE_SCHEMA_VERSION, "trace")
 
 
 # -- querying -------------------------------------------------------------
@@ -308,80 +284,29 @@ def record_sweep(
 ) -> tuple[list[list[ExperimentResult]], RunManifest]:
     """Run a sweep with tracing on; write ``trace.jsonl`` + ``manifest.json``.
 
-    The grid runs through the ordinary sweep engine (chunking, retry,
-    crash recovery all apply) with the traced runner substituted and
-    caching off — a cached result has no events to contribute, and a
-    trace must reflect work actually performed.  Events are written in
-    ``(config, replication)`` order regardless of worker scheduling, so
-    the JSONL is byte-identical for any ``n_workers``.
-
-    Returns the unwrapped results (parallel to ``configs``) and the
-    manifest.  Duplicate configs are collapsed in the trace (each
-    unique config appears once, under its first index).
+    A :func:`~repro.obs.manifest.record_jsonl_sweep` with the traced
+    runner: caching is off (a cached result has no events), events are
+    written in ``(config, replication)`` order so the JSONL is
+    byte-identical for any ``n_workers``, and duplicate configs are
+    collapsed in the trace (each unique config appears once, under its
+    first index).  Returns the unwrapped results (parallel to
+    ``configs``) and the manifest.
     """
-    import time as _time
-
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    unique: list[ExperimentConfig] = []
-    slots: list[int] = []
-    index_of: dict[ExperimentConfig, int] = {}
-    for cfg in configs:
-        ui = index_of.get(cfg)
-        if ui is None:
-            ui = index_of[cfg] = len(unique)
-            unique.append(cfg)
-        slots.append(ui)
-
-    stats = stats if stats is not None else GridStats()
-    t0 = _time.perf_counter()
-    traced = run_grid(
-        unique,
+    return record_jsonl_sweep(
+        configs,
         n_replications,
+        out_dir,
+        runner=run_single_traced,
+        rows=_trace_rows,
+        kind=TRACE_KIND,
+        schema=TRACE_SCHEMA_VERSION,
+        filename=TRACE_FILENAME,
+        count_key="n_trace_events",
+        file_key="trace_file",
         n_workers=n_workers,
         first_replication=first_replication,
-        cache=None,
         chunksize=chunksize,
         progress=progress,
-        runner=run_single_traced,
         stats=stats,
+        command=command,
     )
-    wall = _time.perf_counter() - t0
-
-    reps = range(first_replication, first_replication + n_replications)
-
-    def iter_records() -> Iterator[dict]:
-        for ui, cfg in enumerate(unique):
-            for ri, rep in enumerate(reps):
-                for event in traced[ui][ri].events:
-                    yield _event_record(event, ui, rep, cfg.scheme)
-
-    header = {
-        "configs": [
-            {
-                "index": ui,
-                "scheme": cfg.scheme,
-                "describe": cfg.describe(),
-                "fingerprint": config_fingerprint(cfg),
-            }
-            for ui, cfg in enumerate(unique)
-        ],
-        "n_replications": n_replications,
-        "first_replication": first_replication,
-    }
-    n_events = write_trace(out_dir / TRACE_FILENAME, header, iter_records())
-
-    manifest = build_manifest(
-        unique,
-        n_replications=n_replications,
-        first_replication=first_replication,
-        n_workers=n_workers,
-        wall_time_s=wall,
-        grid_stats=stats.as_dict(),
-        command=list(command) if command is not None else None,
-        extra={"n_trace_events": n_events, "trace_file": TRACE_FILENAME},
-    )
-    manifest.write(out_dir / MANIFEST_FILENAME)
-
-    per_unique = [[tr.result for tr in traced[ui]] for ui in range(len(unique))]
-    return [list(per_unique[ui]) for ui in slots], manifest

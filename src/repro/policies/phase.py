@@ -35,7 +35,7 @@ import numpy as np
 from ..core.cache import ResultCache
 from ..core.config import ExperimentConfig
 from ..core.metrics import mean_of_ratios
-from ..core.parallel import run_grid
+from ..core.orchestrator import run_grid
 
 #: bump when the payload layout or classification semantics change
 PHASE_SCHEMA_VERSION = 1

@@ -24,6 +24,17 @@ def _hosted(cpu_count, python="3.11.7", platform="Linux-x86_64", **timings):
     }
 
 
+def _gridded(n_replications, fingerprints, numpy="1.26.4", **timings):
+    payload = _hosted(2, **timings)
+    payload["manifest"].update(
+        numpy=numpy,
+        n_replications=n_replications,
+        configs=[{"index": i, "fingerprint": fp}
+                 for i, fp in enumerate(fingerprints)],
+    )
+    return payload
+
+
 class TestComparePayloads:
     def test_no_regression_within_threshold(self):
         cmp = compare_payloads(
@@ -114,6 +125,60 @@ class TestHostFingerprint:
         assert "not comparable: host differs" in capsys.readouterr().out
         assert main(["bench", "--compare", str(old), str(same)]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+
+class TestGridFingerprint:
+    SIX = ["a", "b", "c", "d", "e", "f"]
+
+    def test_grid_mismatch_exits_zero_through_cli(self, tmp_path, capsys):
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(_gridded(16, self.SIX, serial=6.84)))
+        smoke = tmp_path / "smoke.json"
+        smoke.write_text(json.dumps(_gridded(2, ["b", "f"], serial=12.11)))
+        assert main(["bench", "--compare", str(old), str(smoke)]) == 0
+        out = capsys.readouterr().out
+        assert (
+            "not comparable: grid differs (n_replications 16 -> 2; "
+            "configs 6 -> 2 (fingerprints differ))"
+        ) in out
+        assert "1.77x" in out
+        assert "REGRESSION" not in out and "FAIL" not in out
+
+    def test_same_size_different_configs_differ(self):
+        cmp = compare_payloads(_gridded(2, ["a", "b"], serial=1.0),
+                               _gridded(2, ["a", "c"], serial=9.0))
+        assert cmp.grid_differences == ["configs 2 -> 2 (fingerprints differ)"]
+        assert not cmp.host_differences
+        assert cmp.ok
+
+    def test_numpy_mismatch_is_a_host_difference(self):
+        cmp = compare_payloads(
+            _gridded(16, self.SIX, numpy="1.26.4", serial=1.0),
+            _gridded(16, self.SIX, numpy="2.0.1", serial=9.0),
+        )
+        assert cmp.host_differences == ["numpy 1.26.4 -> 2.0.1"]
+        assert not cmp.grid_differences
+        assert cmp.ok
+        assert cmp.render().splitlines()[0] == (
+            "not comparable: host differs (numpy 1.26.4 -> 2.0.1)"
+        )
+
+    def test_unrecorded_numpy_is_not_a_difference(self):
+        old = _gridded(16, self.SIX, serial=10.0)
+        del old["manifest"]["numpy"]
+        cmp = compare_payloads(old, _gridded(16, self.SIX, serial=12.5))
+        assert not cmp.host_differences
+        assert not cmp.ok
+
+    def test_same_host_same_grid_slowdown_exits_one(self, tmp_path, capsys):
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(_gridded(16, self.SIX, serial=10.0)))
+        new = tmp_path / "new.json"
+        new.write_text(json.dumps(_gridded(16, self.SIX, serial=12.5)))
+        assert main(["bench", "--compare", str(old), str(new)]) == 1
+        out = capsys.readouterr().out
+        assert "not comparable" not in out
+        assert "REGRESSION" in out and "FAIL" in out
 
 
 class TestLoadBenchPayload:

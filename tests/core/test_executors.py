@@ -245,10 +245,11 @@ class TestShippedCalibrations:
         assert len(CALIBRATIONS) == len(table)
         CALIBRATIONS.clear()  # a fresh worker process: nothing memoised
 
-        monkeypatch.setattr(pool, "_WORKER_CONFIGS", ())
-        monkeypatch.setattr(pool, "_WORKER_RUNNER", None)
+        for name in ("_WORKER_CONFIGS", "_WORKER_RUNNER"):
+            # restored after the test: _init_worker installs both
+            monkeypatch.setattr(pool, name, getattr(pool, name))
         monkeypatch.setattr(log, "setup_worker_logging", lambda: None)
-        pool._init_worker(tuple(configs), None, table)
+        pool._init_worker(tuple(configs), run_single, table)
         forbid_calibration(monkeypatch)
         out = pool._run_chunk(tasks)
         assert [(ci, rep) for ci, rep, _ in out] == tasks
@@ -256,7 +257,7 @@ class TestShippedCalibrations:
 
     def test_warm_rerun_calibrates_nothing(self, monkeypatch, tmp_path):
         from repro.core.experiment import CALIBRATIONS
-        from repro.core.parallel import run_grid
+        from repro.core.orchestrator import run_grid
 
         configs = calibration_configs()
         cold = run_grid(configs, 2, n_workers=2,
@@ -271,7 +272,7 @@ class TestShippedCalibrations:
     def test_pool_grid_equals_serial(self, monkeypatch):
         from repro.core.executors import pool
         from repro.core.experiment import CALIBRATIONS
-        from repro.core.parallel import run_grid
+        from repro.core.orchestrator import run_grid
 
         configs = calibration_configs()
         serial = run_grid(configs, 2, n_workers=1)

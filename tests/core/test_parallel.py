@@ -6,7 +6,8 @@ import pytest
 
 from repro.core.cache import ResultCache
 from repro.core.config import ExperimentConfig
-from repro.core.parallel import SweepEngine, default_chunksize, run_grid
+from repro.core.experiment import run_single
+from repro.core.orchestrator import Orchestrator, default_chunksize, run_grid
 from repro.core.runner import compare_schemes, paired_nonadopter_penalty
 
 
@@ -45,18 +46,31 @@ class TestRunGrid:
     def test_empty_grid(self):
         assert run_grid([], 3) == []
 
-    def test_duplicate_configs_simulated_once(self, monkeypatch):
-        calls = []
-        import repro.core.parallel as parallel
+    def test_runner_defaults_to_run_single(self):
+        assert Orchestrator([tiny()], 1).runner is run_single
 
-        real = parallel.run_single
+    def test_runner_default_read_per_orchestrator(self, monkeypatch):
+        """The default is read from the module at construction, so a
+        tracer that swaps ``orchestrator.run_single`` after import is
+        the runner every later grid uses."""
+        from repro.core import orchestrator
+
+        def swapped(config, replication):
+            return run_single(config, replication)
+
+        monkeypatch.setattr(orchestrator, "run_single", swapped)
+        assert Orchestrator([tiny()], 1).runner is swapped
+
+    def test_duplicate_configs_simulated_once(self):
+        calls = []
 
         def counting(config, replication):
             calls.append((config.scheme, replication))
-            return real(config, replication)
+            return run_single(config, replication)
 
-        monkeypatch.setattr(parallel, "run_single", counting)
-        a, b, c = run_grid([tiny(), tiny(scheme="R2"), tiny()], 2)
+        a, b, c = run_grid(
+            [tiny(), tiny(scheme="R2"), tiny()], 2, runner=counting
+        )
         assert len(calls) == 4, "duplicate config must not be re-simulated"
         # Both duplicates see the same values nonetheless.
         assert [strip_wall(r) for r in a] == [strip_wall(r) for r in c]
@@ -105,15 +119,15 @@ class TestHeartbeat:
         assert "2/2" in messages[0] and "cache" in messages[0]
 
     def test_fmt_eta_ranges(self):
-        from repro.core.parallel import _fmt_eta
+        from repro.core.orchestrator import fmt_eta
 
-        assert _fmt_eta(42.0) == "42s"
-        assert _fmt_eta(190.0) == "3m10s"
-        assert _fmt_eta(2 * 3600.0 + 5 * 60.0) == "2h05m"
-        assert _fmt_eta(-3.0) == "0s"
+        assert fmt_eta(42.0) == "42s"
+        assert fmt_eta(190.0) == "3m10s"
+        assert fmt_eta(2 * 3600.0 + 5 * 60.0) == "2h05m"
+        assert fmt_eta(-3.0) == "0s"
 
     def test_suffix_weights_stretch_by_count(self):
-        from repro.core.parallel import _Heartbeat
+        from repro.core.orchestrator import Heartbeat
 
         def fake(count, p50, p99):
             class R:
@@ -128,7 +142,7 @@ class TestHeartbeat:
 
             return R()
 
-        hb = _Heartbeat(total=4, cache_hits=0)
+        hb = Heartbeat(total=4, cache_hits=0)
         hb.observe(fake(1, 1.0, 2.0), computed=True)
         hb.observe(fake(3, 5.0, 10.0), computed=True)
         suffix = hb.suffix()
@@ -137,9 +151,9 @@ class TestHeartbeat:
         assert "eta" in suffix  # 2 of 4 done, rate is known
 
     def test_suffix_empty_without_signal(self):
-        from repro.core.parallel import _Heartbeat
+        from repro.core.orchestrator import Heartbeat
 
-        hb = _Heartbeat(total=2, cache_hits=0)
+        hb = Heartbeat(total=2, cache_hits=0)
 
         class Bare:
             pass
@@ -180,9 +194,9 @@ class TestHeartbeat:
     def test_observe_counts_cache_hits_dynamically(self):
         """Regression: mid-run cache hits (``computed=False``) must be
         folded into the hit-rate, not silently dropped."""
-        from repro.core.parallel import _Heartbeat
+        from repro.core.orchestrator import Heartbeat
 
-        hb = _Heartbeat(total=4)
+        hb = Heartbeat(total=4)
         hb.observe(object(), computed=False)
         hb.observe(object(), computed=True)
         assert hb.cache_hits == 1
@@ -192,7 +206,7 @@ class TestHeartbeat:
     def test_observe_tolerates_nan_free_payload_shapes(self):
         """Regression: the online payload contract serialises undefined
         values as ``None`` at *any* level; none of these may raise."""
-        from repro.core.parallel import _Heartbeat
+        from repro.core.orchestrator import Heartbeat
 
         shapes = [
             None,
@@ -210,7 +224,7 @@ class TestHeartbeat:
                 "quantiles": {"p50": float("nan"), "p99": float("nan")},
             }}},
         ]
-        hb = _Heartbeat(total=len(shapes), cache_hits=0)
+        hb = Heartbeat(total=len(shapes), cache_hits=0)
         for payload in shapes:
             record = type("R", (), {"online_metrics": payload})()
             hb.observe(record, computed=True)
@@ -262,17 +276,6 @@ class TestDefaultChunksize:
 
     def test_degenerate(self):
         assert default_chunksize(0, 4) == 1
-
-
-class TestSweepEngine:
-    def test_bound_defaults(self):
-        cache = ResultCache(None)
-        engine = SweepEngine(n_workers=1, cache=cache)
-        engine.run_replications(tiny(), 2)
-        assert cache.stats.stores == 2
-        [results] = engine.run_grid([tiny()], 2)
-        assert cache.stats.hits == 2
-        assert [r.replication for r in results] == [0, 1]
 
 
 class TestPairedPenaltyGrid:

@@ -15,7 +15,7 @@ import pytest
 from repro.core.cache import ResultCache
 from repro.core.config import ExperimentConfig
 from repro.core.experiment import run_single
-from repro.core.parallel import (
+from repro.core.orchestrator import (
     GridStats,
     TaskError,
     resolve_workers,

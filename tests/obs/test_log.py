@@ -35,10 +35,10 @@ class TestSetup:
     def test_namespaced_loggers_route_through_handler(self):
         buf = io.StringIO()
         setup_logging(0, stream=buf)
-        get_logger("core.parallel").info("hello from the engine")
+        get_logger("core.orchestrator").info("hello from the engine")
         out = buf.getvalue()
         assert "hello from the engine" in out
-        assert "repro.core.parallel" in out
+        assert "repro.core.orchestrator" in out
 
     def test_quiet_suppresses_info(self):
         buf = io.StringIO()

@@ -31,6 +31,13 @@ class TestBuild:
         assert [c["scheme"] for c in m.configs] == ["R2", "ALL"]
         assert m.configs[0]["fingerprint"] == config_fingerprint(cfg())
 
+    def test_records_numpy_version(self):
+        import numpy as np
+
+        assert build_manifest([cfg()], n_replications=1).numpy == (
+            np.__version__
+        )
+
     def test_describe_config(self):
         d = describe_config(cfg(), index=3)
         assert d["index"] == 3
@@ -47,6 +54,11 @@ class TestRoundTrip:
         path = m.write(tmp_path / "manifest.json")
         loaded = RunManifest.load(path)
         assert loaded == m
+
+    def test_manifest_without_numpy_still_loads(self):
+        d = build_manifest([cfg()], n_replications=1).to_dict()
+        del d["numpy"]
+        assert RunManifest.from_dict(d).numpy is None
 
     def test_dict_carries_kind(self):
         m = build_manifest([cfg()], n_replications=1)

@@ -90,7 +90,7 @@ class TestRunCounters:
 class TestEngineMetrics:
     def test_run_grid_reports_cache_accounting(self, tmp_path):
         from repro.core.cache import ResultCache
-        from repro.core.parallel import run_grid
+        from repro.core.orchestrator import run_grid
 
         cfg = ExperimentConfig(
             scheme="R2", n_clusters=2, nodes_per_cluster=16,

@@ -16,7 +16,7 @@ from repro.core.cache import ResultCache
 from repro.core.config import ExperimentConfig
 from repro.core.orchestrator import Orchestrator
 from repro.core.executors import InProcessExecutor
-from repro.core.parallel import run_grid
+from repro.core.orchestrator import run_grid
 from repro.obs.manifest import RunJournal
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.jobs import JobSpec, JobStore, canonical_grid_json

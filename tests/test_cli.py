@@ -333,7 +333,7 @@ class TestServiceCommands:
 
     def test_job_commands_against_live_service(self, tmp_path, capsys):
         from repro.core.config import ExperimentConfig
-        from repro.core.parallel import run_grid
+        from repro.core.orchestrator import run_grid
         from repro.service.jobs import canonical_grid_json
         from repro.service.server import SweepService
 

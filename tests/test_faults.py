@@ -16,7 +16,7 @@ from repro.cluster.platform import Platform
 from repro.core.config import ExperimentConfig
 from repro.core.coordinator import Coordinator
 from repro.core.experiment import run_single
-from repro.core.parallel import run_grid
+from repro.core.orchestrator import run_grid
 from repro.faults import FaultConfig, FaultInjector
 from repro.sched.base import SchedulerDownError, SchedulerError
 from repro.sched.job import Request, RequestState
